@@ -17,7 +17,8 @@ from .errors import (BridgeError, BridgeProtocolError, BridgeTimeoutError,
                      RmOampError, SingularSystemError)
 from .rm_operator import (RmOperator, build_rm_operator, dct_transform,
                           rm_forward, rm_inverse)
-from .channel import (ChannelInstance, FadingProfile, channel_from_descriptor,
+from .channel import (ChannelInstance, FadingProfile, build_channel,
+                      channel_from_descriptor, fading_profile,
                       gen_conditioned_channel, gen_identity_channel,
                       gen_tdl_fading_channel, rayleigh_fit_statistic,
                       sample_fading_taps, transmit)
@@ -42,7 +43,6 @@ from .bridge import (BridgeClient, BridgePrior, encode_request,
                      encode_response)
 from .metrics import PSNR_CEILING, gaussian_window, psnr, ssim
 from .experiment import (ExperimentConfig, MetricReport, TrialResult,
-                         baseline_psnr, build_channel, build_prior,
-                         run_experiment, sweep)
+                         baseline_psnr, build_prior, run_experiment, sweep)
 
 __version__ = "0.1.0"

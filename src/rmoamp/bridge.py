@@ -167,20 +167,30 @@ class BridgeClient:
     # -- protocol -------------------------------------------------------------
 
     def denoise_once(self, s_in, t_star, v):
-        """One round trip; returns the response payload as float64."""
+        """One round trip; returns the response payload as float64.
+
+        Any BridgeError closes the client: after a timeout or a bad frame
+        the stream may still hold a late reply, which the next request
+        would otherwise read as its own.
+        """
         if self._rfd is None:
             raise BridgeError("bridge is closed")
         s_in = np.asarray(s_in)
         deadline = time.monotonic() + self.timeout
-        self._send(encode_request(s_in, t_star, v), deadline)
-        head = self._recv_exact(_RSP_HEAD.size, deadline)
-        magic, n = _RSP_HEAD.unpack(head)
-        if magic != RESPONSE_MAGIC:
-            raise BridgeProtocolError(f"bad response magic {magic!r}")
-        payload = self._recv_exact(4 * n, deadline)
-        if n != s_in.size:
-            raise BridgeProtocolError(
-                f"bridge returned {n} values for a {s_in.size}-point request")
+        try:
+            self._send(encode_request(s_in, t_star, v), deadline)
+            head = self._recv_exact(_RSP_HEAD.size, deadline)
+            magic, n = _RSP_HEAD.unpack(head)
+            if magic != RESPONSE_MAGIC:
+                raise BridgeProtocolError(f"bad response magic {magic!r}")
+            payload = self._recv_exact(4 * n, deadline)
+            if n != s_in.size:
+                raise BridgeProtocolError(
+                    f"bridge returned {n} values for a {s_in.size}-point "
+                    f"request")
+        except BridgeError:
+            self.close()
+            raise
         return np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
     def close(self):

@@ -30,6 +30,8 @@ __all__ = [
     "transmit",
     "sample_fading_taps",
     "rayleigh_fit_statistic",
+    "fading_profile",
+    "build_channel",
     "channel_from_descriptor",
 ]
 
@@ -274,22 +276,34 @@ def transmit(ch, x, noise_seed):
     return y
 
 
+def fading_profile(spec):
+    """FadingProfile from a spec dict; missing keys take the 3-tap defaults."""
+    return FadingProfile(num_taps=spec.get("num_taps", 3),
+                         tap_powers=spec.get("tap_powers", (0.6, 0.3, 0.1)),
+                         doppler_rate=spec.get("doppler_rate", 0.01),
+                         num_symbols=spec.get("num_symbols", 16))
+
+
+def build_channel(spec, dim, sigma2, seed):
+    """Instantiate a channel from a spec dict (``kind`` plus its keys)."""
+    kind = spec.get("kind", "identity")
+    if kind == "identity":
+        return gen_identity_channel(dim, sigma2=sigma2)
+    if kind == "conditioned":
+        return gen_conditioned_channel(
+            dim, kappa=spec.get("kappa", 10.0),
+            spectrum_shape=spec.get("spectrum_shape", "geometric"),
+            sigma2=sigma2, seed=seed,
+            factor_method=spec.get("factor_method", "haar"))
+    if kind == "tdl-fading":
+        return gen_tdl_fading_channel(dim, fading_profile(spec),
+                                      sigma2=sigma2, seed=seed)
+    raise InvalidParameterError(f"unknown channel kind {kind!r}")
+
+
 def channel_from_descriptor(desc):
     """Rebuild a channel from the record emitted by ``descriptor()``."""
     if isinstance(desc, str):
         desc = json.loads(desc)
-    kind = desc["type"]
-    if kind == "identity":
-        return gen_identity_channel(desc["dim"], desc["sigma2"])
-    if kind == "conditioned":
-        return gen_conditioned_channel(
-            desc["dim"], desc["kappa"], desc["spectrum_shape"], desc["sigma2"],
-            desc["seed"], factor_method=desc.get("factor_method", "haar"))
-    if kind == "tdl-fading":
-        profile = FadingProfile(num_taps=desc["num_taps"],
-                                tap_powers=np.asarray(desc["tap_powers"]),
-                                doppler_rate=desc["doppler_rate"],
-                                num_symbols=desc["num_symbols"])
-        return gen_tdl_fading_channel(desc["dim"], profile, desc["sigma2"],
-                                      desc["seed"])
-    raise InvalidParameterError(f"unknown channel type {kind!r}")
+    return build_channel(dict(desc, kind=desc["type"]), desc.get("dim"),
+                         desc.get("sigma2"), desc.get("seed"))

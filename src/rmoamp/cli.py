@@ -21,8 +21,8 @@ import numpy as np
 
 from . import channel as channel_mod
 from .errors import RmOampError
-from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, build_channel,
-                         run_experiment, sweep)
+from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, run_experiment,
+                         sweep)
 
 __all__ = ["main", "parse_config_text", "config_from_dict"]
 
@@ -34,6 +34,16 @@ def _parse_scalar(text):
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+
+
+def _set_dotted(data, item):
+    """Store ``key=value`` into nested dicts; dots in the key nest."""
+    key, value = item.split("=", 1)
+    parts = key.strip().split(".")
+    node = data
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+    node[parts[-1]] = _parse_scalar(value.strip())
 
 
 def parse_config_text(text):
@@ -48,12 +58,7 @@ def parse_config_text(text):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        parts = key.strip().split(".")
-        node = cfg
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = _parse_scalar(value.strip())
+        _set_dotted(cfg, line)
     return cfg
 
 
@@ -75,12 +80,7 @@ def _apply_overrides(data, overrides):
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        parts = key.strip().split(".")
-        node = data
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = _parse_scalar(value.strip())
+        _set_dotted(data, item)
     return data
 
 
@@ -108,7 +108,7 @@ def _cmd_sweep(args):
 
 def _cmd_inspect_channel(args):
     spec = _apply_overrides({"kind": args.kind}, args.set)
-    ch = build_channel(spec, args.dim, args.sigma ** 2, args.seed)
+    ch = channel_mod.build_channel(spec, args.dim, args.sigma ** 2, args.seed)
     print(ch.descriptor_json())
     s = ch.s
     print(f"singular values: count={s.size} min={s.min():.6g} "
@@ -116,7 +116,8 @@ def _cmd_inspect_channel(args):
           f"mean_power={float(np.mean(s * s)):.6g}")
     if args.kind == "tdl-fading":
         stat, pvalue = channel_mod.rayleigh_fit_statistic(
-            spec_or_profile(spec), num_samples=args.samples, seed=args.seed)
+            channel_mod.fading_profile(spec), num_samples=args.samples,
+            seed=args.seed)
         print(f"rayleigh_ks_statistic={stat!r} pvalue={pvalue!r}")
     if args.output:
         with open(args.output, "w") as fh:
@@ -124,14 +125,6 @@ def _cmd_inspect_channel(args):
             for i, val in enumerate(s):
                 fh.write(f"{i},{val!r}\n")
     return 0
-
-
-def spec_or_profile(spec):
-    return channel_mod.FadingProfile(
-        num_taps=spec.get("num_taps", 3),
-        tap_powers=spec.get("tap_powers", (0.6, 0.3, 0.1)),
-        doppler_rate=spec.get("doppler_rate", 0.01),
-        num_symbols=spec.get("num_symbols", 16))
 
 
 def build_parser():

@@ -9,6 +9,8 @@ fault modes exercise the client's error paths:
     --mode wrong-length  respond with one value too few
     --mode bad-magic     respond with a corrupted magic
     --mode stall         accept the request, never respond
+    --mode late          echo, but answer the first request after LATE_DELAY
+                         seconds
 """
 
 import argparse
@@ -19,6 +21,8 @@ import time
 import numpy as np
 
 from .bridge import REQUEST_MAGIC, _REQ_HEAD, encode_response
+
+LATE_DELAY = 1.0
 
 
 def _read_exact(stream, nbytes):
@@ -49,6 +53,9 @@ def serve(stdin, stdout, mode="echo", scale=1.0):
         if mode == "stall":
             time.sleep(3600.0)
             return 0
+        if mode == "late":
+            time.sleep(LATE_DELAY)
+            mode = "echo"
         if mode == "wrong-length":
             out = values[:-1] if n > 0 else values
             frame = encode_response(scale * out)
@@ -64,7 +71,8 @@ def serve(stdin, stdout, mode="echo", scale=1.0):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", default="echo",
-                        choices=["echo", "wrong-length", "bad-magic", "stall"])
+                        choices=["echo", "wrong-length", "bad-magic", "stall",
+                                 "late"])
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
     return serve(sys.stdin.buffer, sys.stdout.buffer,

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from .bridge import BridgeClient, BridgePrior
+from .channel import build_channel
 from .diffusion import (DdimPrior, DdimSchedule, FlowMatchingPrior,
                         default_ddim_schedule, gaussian_eps_predictor,
                         gaussian_velocity_predictor)
@@ -42,7 +43,6 @@ __all__ = [
     "TrialResult",
     "MetricReport",
     "build_prior",
-    "build_channel",
     "run_experiment",
     "baseline_psnr",
     "sweep",
@@ -70,9 +70,6 @@ class ExperimentConfig:
     prior: dict = field(default_factory=lambda: {"kind": "analytic-gaussian"})
     max_iters: int = 12
     tolerance: float = 1e-4
-    trace_divisor: str = "m"
-    subtract_noise_floor: bool = False
-    damping: float = 0.0
     operator_seed: int = 1
     channel_seed: int = 2
     noise_seed: int = 3
@@ -91,9 +88,6 @@ class ExperimentConfig:
     def receiver_config(self, trial=0):
         return ReceiverConfig(
             max_iters=self.max_iters, tolerance=self.tolerance,
-            trace_divisor=self.trace_divisor,
-            subtract_noise_floor=self.subtract_noise_floor,
-            damping=self.damping,
             divergence_seed=self.divergence_seed + trial)
 
 
@@ -115,18 +109,15 @@ class MetricReport:
     config: ExperimentConfig
     trials: list = field(default_factory=list)
 
-    def _ok(self, attr):
-        # aggregate over trials that produced a finite value; a trial with a
-        # terminal annotation still counts if it delivered an estimate
-        vals = [getattr(t, attr) for t in self.trials]
-        return np.array(vals, dtype=np.float64)
-
     @property
     def num_errors(self):
         return sum(1 for t in self.trials if t.error)
 
     def _agg(self, attr, reducer):
-        vals = self._ok(attr)
+        # aggregate over trials that produced a finite value; a trial with a
+        # terminal annotation still counts if it delivered an estimate
+        vals = np.array([getattr(t, attr) for t in self.trials],
+                        dtype=np.float64)
         vals = vals[np.isfinite(vals)]
         return float(reducer(vals)) if vals.size else float("nan")
 
@@ -234,28 +225,6 @@ def _build_predictor(spec, sampler_kind):
     return gaussian_velocity_predictor(mean=mean, var0=var0)
 
 
-def build_channel(spec, dim, sigma2, seed):
-    """Instantiate a channel from a spec dict at the experiment's dimension."""
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        return channel_mod.gen_identity_channel(dim, sigma2=sigma2)
-    if kind == "conditioned":
-        return channel_mod.gen_conditioned_channel(
-            dim, kappa=spec.get("kappa", 10.0),
-            spectrum_shape=spec.get("spectrum_shape", "geometric"),
-            sigma2=sigma2, seed=seed,
-            factor_method=spec.get("factor_method", "haar"))
-    if kind == "tdl-fading":
-        profile = channel_mod.FadingProfile(
-            num_taps=spec.get("num_taps", 3),
-            tap_powers=spec.get("tap_powers", (0.6, 0.3, 0.1)),
-            doppler_rate=spec.get("doppler_rate", 0.01),
-            num_symbols=spec.get("num_symbols", 16))
-        return channel_mod.gen_tdl_fading_channel(dim, profile, sigma2=sigma2,
-                                                  seed=seed)
-    raise InvalidParameterError(f"unknown channel kind {kind!r}")
-
-
 def _resolve_output_dir(path):
     if path is None:
         return None
@@ -275,17 +244,22 @@ def _save_reconstruction(out_dir, trial, estimate):
         write_matrix(path, estimate.values[np.newaxis, :])
 
 
+def _transmission(cfg, trial):
+    """Source, operator, channel and observation of one seeded trial."""
+    source = load_source(cfg.source)
+    m = max(1, int(round(cfg.beta * source.n)))
+    op = build_rm_operator(source.n, m, cfg.operator_seed + trial)
+    ch = build_channel(cfg.channel, m, cfg.sigma ** 2,
+                       cfg.channel_seed + trial)
+    y = channel_mod.transmit(ch, rm_forward(op, source.values),
+                             cfg.noise_seed + trial)
+    return source, op, ch, y
+
+
 def run_trial(cfg, trial):
     """One seeded transmit/receive cycle; returns (TrialResult, trace)."""
     t0 = time.perf_counter()
-    source = load_source(cfg.source)
-    n = source.n
-    m = max(1, int(round(cfg.beta * n)))
-    op = build_rm_operator(n, m, cfg.operator_seed + trial)
-    ch = build_channel(cfg.channel, m, cfg.sigma ** 2,
-                       cfg.channel_seed + trial)
-    x = rm_forward(op, source.values)
-    y = channel_mod.transmit(ch, x, cfg.noise_seed + trial)
+    source, op, ch, y = _transmission(cfg, trial)
     prior = build_prior(cfg.prior)
     try:
         estimate, trace = run_receiver(y, ch, op, prior,
@@ -343,14 +317,7 @@ def run_experiment(cfg):
 
 def baseline_psnr(cfg, trial=0):
     """PSNR of the one-shot linear reconstruction under the same seeds."""
-    source = load_source(cfg.source)
-    n = source.n
-    m = max(1, int(round(cfg.beta * n)))
-    op = build_rm_operator(n, m, cfg.operator_seed + trial)
-    ch = build_channel(cfg.channel, m, cfg.sigma ** 2,
-                       cfg.channel_seed + trial)
-    y = channel_mod.transmit(ch, rm_forward(op, source.values),
-                             cfg.noise_seed + trial)
+    source, op, ch, y = _transmission(cfg, trial)
     estimate, _ = lmmse_baseline(y, ch, op, cfg.receiver_config(trial),
                                  truth=source)
     return psnr(source.values, estimate.values)

@@ -39,6 +39,7 @@ __all__ = [
     "lmmse_estimate",
     "orthogonalize",
     "mmse_correction",
+    "CorrectedMessage",
     "check_convergence",
     "run_receiver",
     "lmmse_baseline",
@@ -84,11 +85,6 @@ class GaussMessage:
 class ReceiverConfig:
     """Knobs for the outer loop.
 
-    trace_divisor selects the denominator of the scalar posterior variance:
-    "m" divides the covariance trace by the observation length (the default),
-    "n" by the estimand length.  subtract_noise_floor removes sigma^2 from
-    the residual-based variance of the corrected prior.  damping in (0, 1)
-    blends each new prior mean with the previous one (0 disables).
     divergence_seed feeds the Monte Carlo probe.  The same probe is reused
     on every iteration (common random numbers), so the outer loop sees a
     fixed map and can settle instead of jittering around its fixed point.
@@ -97,9 +93,6 @@ class ReceiverConfig:
     max_iters: int = 12
     tolerance: float = 1e-4
     variance_floor: float = 1e-9
-    trace_divisor: str = "m"
-    subtract_noise_floor: bool = False
-    damping: float = 0.0
     divergence_seed: int = 0
 
     def __post_init__(self):
@@ -109,10 +102,6 @@ class ReceiverConfig:
             raise InvalidParameterError("tolerance must be > 0")
         if self.variance_floor <= 0:
             raise InvalidParameterError("variance_floor must be > 0")
-        if self.trace_divisor not in ("m", "n"):
-            raise InvalidParameterError("trace_divisor must be 'm' or 'n'")
-        if not 0.0 <= self.damping < 1.0:
-            raise InvalidParameterError("damping must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,14 +163,13 @@ def init_state(y, n=None, variance_floor=1e-9):
     return GaussMessage(mean=np.zeros(size), variance=variance, domain="x")
 
 
-def lmmse_estimate(ch, prior, y, trace_divisor="m", variance_floor=1e-9):
+def lmmse_estimate(ch, prior, y, variance_floor=1e-9):
     """Gaussian posterior of the channel input given y and a Gaussian prior.
 
     mean = x_pri + v A^T (sigma^2 I + v A A^T)^{-1} (y - A x_pri), evaluated
     in the singular basis of A so the matrix inverse is elementwise.  The
-    scalar variance is tr(V_post) divided by the observation length (or the
-    estimand length when trace_divisor is "n"); directions outside the row
-    space keep the prior variance v.
+    scalar variance is tr(V_post) / m; directions outside the row space keep
+    the prior variance v.
     """
     y = np.asarray(y, dtype=np.float64)
     v = prior.variance
@@ -205,8 +193,7 @@ def lmmse_estimate(ch, prior, y, trace_divisor="m", variance_floor=1e-9):
 
     per_mode = np.where(denom > 0.0, v - (v * v) * (s * s) / safe, v)
     trace = float(np.sum(per_mode)) + (ch.n_cols - s.size) * v
-    d = ch.m_rows if trace_divisor == "m" else ch.n_cols
-    variance = max(trace / d, variance_floor)
+    variance = max(trace / ch.m_rows, variance_floor)
     return GaussMessage(mean=mean, variance=variance, domain="x")
 
 
@@ -227,32 +214,35 @@ def orthogonalize(post, prior, variance_floor=1e-9):
     return GaussMessage(mean=mean, variance=v_orth, domain=post.domain)
 
 
-def mmse_correction(x_tilde, x_orth, ch, y, subtract_noise_floor=False,
-                    variance_floor=1e-9):
+@dataclass(frozen=True)
+class CorrectedMessage(GaussMessage):
+    """A corrected pseudo-prior; ``residual`` is ||A mean - y||^2."""
+
+    residual: float = float("nan")
+
+
+def mmse_correction(x_tilde, x_orth, ch, y, variance_floor=1e-9):
     """Rescale the denoised estimate into a new Gaussian pseudo-prior.
 
     The scale beta* = <x_tilde, x_orth> / ||x_tilde||^2 projects x_orth onto
     the denoiser output's direction; the new variance is the mean squared
-    channel residual of the rescaled mean (optionally minus the noise floor),
-    clamped below at variance_floor.
+    channel residual of the rescaled mean, clamped below at variance_floor.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     energy = float(np.dot(x_tilde, x_tilde))
     if energy == 0.0:
         raise DegenerateNleError("denoiser output is identically zero")
     beta = float(np.dot(x_tilde, x_orth)) / energy
-    mean = beta * x_tilde
-    variance = _residual_variance(ch, mean, y, subtract_noise_floor,
-                                  variance_floor)
-    return GaussMessage(mean=mean, variance=variance, domain="x")
+    return _residual_message(ch, beta * x_tilde, y, variance_floor)
 
 
-def _residual_variance(ch, mean, y, subtract_noise_floor, variance_floor):
+def _residual_message(ch, mean, y, variance_floor):
+    # the one channel apply of a correction; the loop's trace reuses it
     resid = ch.apply(mean) - y
-    variance = float(np.dot(resid, resid)) / ch.m_rows
-    if subtract_noise_floor:
-        variance -= ch.sigma2
-    return max(variance, variance_floor)
+    residual = float(np.dot(resid, resid))
+    return CorrectedMessage(mean=mean,
+                            variance=max(residual / ch.m_rows, variance_floor),
+                            domain="x", residual=residual)
 
 
 def check_convergence(prev_mean, new_mean, tolerance, variance_floor=1e-9):
@@ -295,7 +285,6 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
             break
         try:
             post = lmmse_estimate(ch, state, y,
-                                  trace_divisor=cfg.trace_divisor,
                                   variance_floor=cfg.variance_floor)
             orth = orthogonalize(post, state,
                                  variance_floor=cfg.variance_floor)
@@ -321,37 +310,23 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
 
         x_tilde = rm_forward(op, s_est)
         try:
-            new_state = mmse_correction(
-                x_tilde, orth.mean, ch, y,
-                subtract_noise_floor=cfg.subtract_noise_floor,
-                variance_floor=cfg.variance_floor)
+            new_state = mmse_correction(x_tilde, orth.mean, ch, y,
+                                        variance_floor=cfg.variance_floor)
         except DegenerateNleError as exc:
             fault = f"degenerate nle: {exc}"
-            variance = _residual_variance(ch, orth.mean, y,
-                                          cfg.subtract_noise_floor,
+            new_state = _residual_message(ch, orth.mean, y,
                                           cfg.variance_floor)
-            new_state = GaussMessage(mean=orth.mean, variance=variance,
-                                     domain="x")
         except RmOampError as exc:
             trace.error = f"iteration {it}: {exc}"
             break
 
-        if cfg.damping > 0.0 and it > 1:
-            mixed = ((1.0 - cfg.damping) * new_state.mean
-                     + cfg.damping * state.mean)
-            variance = _residual_variance(ch, mixed, y,
-                                          cfg.subtract_noise_floor,
-                                          cfg.variance_floor)
-            new_state = GaussMessage(mean=mixed, variance=variance, domain="x")
-
-        resid = ch.apply(new_state.mean) - y
         iter_psnr = float("nan")
         if truth_values is not None:
             iter_psnr = psnr(truth_values, rm_inverse(op, new_state.mean))
         trace.records.append(IterationRecord(
             iteration=it, v_pri=v_pri, v_post=post.variance, v_orth=v_orth,
             t_star=t_star, psnr=iter_psnr,
-            residual=float(np.dot(resid, resid)), fault=fault))
+            residual=new_state.residual, fault=fault))
 
         converged = check_convergence(state.mean, new_state.mean,
                                       cfg.tolerance, cfg.variance_floor)
@@ -374,8 +349,7 @@ def lmmse_baseline(y, ch, op, cfg=None, truth=None):
         cfg = ReceiverConfig()
     y = np.asarray(y, dtype=np.float64)
     state = init_state(y, n=ch.n_cols, variance_floor=cfg.variance_floor)
-    post = lmmse_estimate(ch, state, y, trace_divisor=cfg.trace_divisor,
-                          variance_floor=cfg.variance_floor)
+    post = lmmse_estimate(ch, state, y, variance_floor=cfg.variance_floor)
     s_hat = rm_inverse(op, post.mean)
     shape = truth.shape if truth is not None else None
     return SourceSignal(values=s_hat, shape=shape), post

@@ -107,6 +107,27 @@ class TestFaults:
             with pytest.raises(BridgeTimeoutError):
                 client.denoise_once(np.ones(8), 0.5, 1.0)
 
+    def test_late_reply_is_never_read_as_the_next_answer(self):
+        # the server answers request 1 after its deadline; with a deadline
+        # long enough for that late reply to arrive, request 2 must still
+        # not take it as its own answer
+        with spawn_echo_bridge(mode="late", timeout=0.3) as client:
+            with pytest.raises(BridgeTimeoutError):
+                client.denoise_once(np.full(4, 1.0), 0.5, 1.0)
+            client.timeout = 5.0
+            try:
+                out = client.denoise_once(np.full(4, 2.0), 0.5, 1.0)
+            except BridgeError:
+                return
+            assert np.array_equal(out, np.full(4, 2.0))
+
+    def test_protocol_fault_closes_client(self):
+        with spawn_echo_bridge(mode="wrong-length") as client:
+            with pytest.raises(BridgeProtocolError):
+                client.denoise_once(np.ones(8), 0.5, 1.0)
+            with pytest.raises(BridgeError, match="closed"):
+                client.denoise_once(np.ones(8), 0.5, 1.0)
+
     def test_dead_child_raises_bridge_error(self):
         client = BridgeClient.spawn([sys.executable, "-c", "pass"],
                                     timeout=2.0)

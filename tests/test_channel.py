@@ -190,6 +190,11 @@ class TestDescriptors:
         lambda: rm.gen_conditioned_channel(12, 5.0, "geometric", 0.3, seed=11),
         lambda: rm.gen_tdl_fading_channel(
             8, make_profile(num_taps=2, num_symbols=2), 0.1, seed=12),
+        lambda: rm.gen_conditioned_channel(12, 5.0, "linear", 0.3, seed=14,
+                                           factor_method="fast"),
+        lambda: rm.gen_tdl_fading_channel(
+            12, make_profile(num_taps=4, doppler=0.25, num_symbols=3,
+                             powers=(0.4, 0.3, 0.2, 0.1)), 0.05, seed=15),
     ])
     def test_round_trip(self, build):
         ch = build()
@@ -200,6 +205,12 @@ class TestDescriptors:
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidParameterError):
             rm.channel_from_descriptor({"type": "quantum"})
+
+    def test_fading_profile_defaults(self):
+        profile = rm.fading_profile({})
+        assert profile.num_taps == 3
+        assert profile.tap_powers.tolist() == [0.6, 0.3, 0.1]
+        assert (profile.doppler_rate, profile.num_symbols) == (0.01, 16)
 
     def test_export_dense_round_trip(self, tmp_path):
         ch = rm.gen_conditioned_channel(9, 3.0, "linear", 0.0, seed=13)

@@ -13,6 +13,7 @@ from rmoamp import (
     DctSoftThresholdPrior,
     DdimPrior,
     ExperimentConfig,
+    FadingProfile,
     FlowMatchingPrior,
     GaussianMixturePrior,
     InvalidParameterError,
@@ -22,6 +23,7 @@ from rmoamp import (
     baseline_psnr,
     build_channel,
     build_prior,
+    rayleigh_fit_statistic,
     read_matrix,
     run_experiment,
     save_source_pgm,
@@ -88,11 +90,11 @@ class TestExperimentConfig:
             toy_config(num_trials=0)
 
     def test_receiver_config_offsets_divergence_seed(self):
-        cfg = toy_config(divergence_seed=4, max_iters=7, damping=0.25)
+        cfg = toy_config(divergence_seed=4, max_iters=7, tolerance=1e-6)
         rc = cfg.receiver_config(trial=2)
         assert rc.divergence_seed == 6
         assert rc.max_iters == 7
-        assert rc.damping == 0.25
+        assert rc.tolerance == 1e-6
 
 
 class TestBuilders:
@@ -383,6 +385,14 @@ class TestCli:
                      if l.startswith("rayleigh_ks_statistic")][0]
         stat = float(stat_line.split("=")[1].split()[0])
         assert 0.0 < stat < 1.0
+        # the channel and the fit read one profile: the overrides plus the
+        # default Doppler rate
+        desc = json.loads(out.splitlines()[0])
+        assert (desc["num_taps"], desc["tap_powers"], desc["num_symbols"],
+                desc["doppler_rate"]) == (2, [0.5, 0.5], 8, 0.01)
+        profile = FadingProfile(num_taps=2, tap_powers=(0.5, 0.5),
+                                doppler_rate=0.01, num_symbols=8)
+        assert stat == rayleigh_fit_statistic(profile, 2000, seed=1)[0]
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
