@@ -9,17 +9,17 @@ stream and answers with framed responses:
     response = b"OAMPNLE2" | u64 LE length N | N x f32 LE payload
 
 All integers and floats are little-endian; big-endian is never used.  The
-stream is either a spawned child's stdio or a TCP socket.  Every round trip
-is guarded by a deadline; timeouts, short reads, bad magic, and length
-mismatches raise BridgeError subclasses, which the receiver loop treats as
-a recoverable denoiser fault.
+stream is a socket: a TCP connection, or for a spawned child one end of a
+Unix socket pair that is both its stdin and its stdout.  A server that reads
+fd 0 and writes fd 1 as byte streams works unchanged; it must not assume
+they are pipes.  Every round trip is guarded by a deadline; timeouts, short
+reads, bad magic, and length mismatches raise BridgeError subclasses, which
+the receiver loop treats as a recoverable denoiser fault.
 
 One client serves one receiver run at a time; concurrent runs need separate
 clients.
 """
 
-import os
-import selectors
 import socket
 import struct
 import subprocess
@@ -78,8 +78,9 @@ def encode_response(values):
 class BridgeClient:
     """Framed request/response channel to an external denoiser.
 
-    Build with :meth:`spawn` (child process over stdio) or :meth:`connect`
-    (TCP).  ``timeout`` bounds each full round trip.
+    Build with :meth:`spawn` (child process on a socket pair) or
+    :meth:`connect` (TCP); either way the client holds one connected socket.
+    ``timeout`` bounds each full round trip.
     """
 
     def __init__(self, timeout=5.0):
@@ -88,19 +89,20 @@ class BridgeClient:
         self.timeout = float(timeout)
         self._proc = None
         self._sock = None
-        self._rfd = None
-        self._wfd = None
 
     @classmethod
     def spawn(cls, argv, timeout=5.0):
-        """Start ``argv`` as a child and speak the protocol on its stdio."""
+        """Start ``argv`` as a child whose stdin and stdout are both one end
+        of a socket pair, and speak the protocol over the other end."""
         client = cls(timeout=timeout)
-        client._proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
-        client._rfd = client._proc.stdout.fileno()
-        client._wfd = client._proc.stdin.fileno()
-        os.set_blocking(client._rfd, False)
-        os.set_blocking(client._wfd, False)
+        client._sock, theirs = socket.socketpair()
+        with theirs:
+            try:
+                client._proc = subprocess.Popen(argv, stdin=theirs,
+                                                stdout=theirs)
+            except BaseException:
+                client.close()
+                raise
         return client
 
     @classmethod
@@ -109,60 +111,36 @@ class BridgeClient:
         client = cls(timeout=timeout)
         client._sock = socket.create_connection((host, port),
                                                 timeout=timeout)
-        client._sock.setblocking(False)
-        client._rfd = client._sock.fileno()
-        client._wfd = client._sock.fileno()
         return client
 
     # -- byte-level I/O with a shared deadline --------------------------------
 
-    def _wait(self, fd, event, deadline, what):
+    def _io(self, call, arg, deadline, what):
+        """``call(arg)`` on the socket with the time left until ``deadline``
+        as its timeout."""
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise BridgeTimeoutError(f"bridge timeout while {what}")
-        sel = selectors.DefaultSelector()
+        self._sock.settimeout(remaining)
         try:
-            sel.register(fd, event)
-            if not sel.select(remaining):
-                raise BridgeTimeoutError(f"bridge timeout while {what}")
-        finally:
-            sel.close()
-
-    def _send(self, data, deadline):
-        view = memoryview(data)
-        while view:
-            self._wait(self._wfd, selectors.EVENT_WRITE, deadline, "writing")
-            try:
-                if self._sock is not None:
-                    sent = self._sock.send(view)
-                else:
-                    sent = os.write(self._wfd, view)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError as exc:
-                raise BridgeError(f"bridge write failed: {exc}") from exc
-            view = view[sent:]
+            return call(arg)
+        except TimeoutError as exc:
+            raise BridgeTimeoutError(f"bridge timeout while {what}") from exc
+        except OSError as exc:
+            raise BridgeError(f"bridge failed while {what}: {exc}") from exc
 
     def _recv_exact(self, nbytes, deadline):
-        chunks = []
+        buf = bytearray(nbytes)
+        view = memoryview(buf)
         got = 0
         while got < nbytes:
-            self._wait(self._rfd, selectors.EVENT_READ, deadline, "reading")
-            try:
-                if self._sock is not None:
-                    chunk = self._sock.recv(nbytes - got)
-                else:
-                    chunk = os.read(self._rfd, nbytes - got)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError as exc:
-                raise BridgeError(f"bridge read failed: {exc}") from exc
-            if not chunk:
+            count = self._io(self._sock.recv_into, view[got:], deadline,
+                             "reading")
+            if not count:
                 raise BridgeProtocolError(
                     f"bridge closed the stream after {got} of {nbytes} bytes")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+            got += count
+        return buf
 
     # -- protocol -------------------------------------------------------------
 
@@ -173,21 +151,22 @@ class BridgeClient:
         the stream may still hold a late reply, which the next request
         would otherwise read as its own.
         """
-        if self._rfd is None:
+        if self._sock is None:
             raise BridgeError("bridge is closed")
         s_in = np.asarray(s_in)
         deadline = time.monotonic() + self.timeout
         try:
-            self._send(encode_request(s_in, t_star, v), deadline)
+            self._io(self._sock.sendall, encode_request(s_in, t_star, v),
+                     deadline, "writing")
             head = self._recv_exact(_RSP_HEAD.size, deadline)
             magic, n = _RSP_HEAD.unpack(head)
             if magic != RESPONSE_MAGIC:
                 raise BridgeProtocolError(f"bad response magic {magic!r}")
-            payload = self._recv_exact(4 * n, deadline)
             if n != s_in.size:
                 raise BridgeProtocolError(
                     f"bridge returned {n} values for a {s_in.size}-point "
                     f"request")
+            payload = self._recv_exact(4 * n, deadline)
         except BridgeError:
             self.close()
             raise
@@ -198,7 +177,6 @@ class BridgeClient:
             self._sock.close()
             self._sock = None
         if self._proc is not None:
-            self._proc.stdin.close()
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=2.0)
@@ -206,8 +184,6 @@ class BridgeClient:
                 self._proc.kill()
                 self._proc.wait()
             self._proc = None
-        self._rfd = None
-        self._wfd = None
 
     def __enter__(self):
         return self

@@ -11,7 +11,7 @@ level, removes the input-aligned component of the output, and rescales the
 result into a new Gaussian pseudo-prior via a posterior correction.
 
 All messages carry a scalar variance.  Variances are clamped from below at
-``variance_floor`` anywhere they could reach zero, because the
+``VARIANCE_FLOOR`` anywhere they could reach zero, because the
 orthogonalization step divides by them.
 """
 
@@ -44,10 +44,14 @@ __all__ = [
     "run_receiver",
     "lmmse_baseline",
     "TRACE_COLUMNS",
+    "VARIANCE_FLOOR",
 ]
 
 TRACE_COLUMNS = ("iter", "v_pri", "v_post", "v_orth", "t_star", "psnr",
-                 "residual")
+                 "residual", "fault")
+
+# lower clamp on every variance the loop divides by
+VARIANCE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,6 @@ class ReceiverConfig:
 
     max_iters: int = 12
     tolerance: float = 1e-4
-    variance_floor: float = 1e-9
     divergence_seed: int = 0
 
     def __post_init__(self):
@@ -100,8 +103,6 @@ class ReceiverConfig:
             raise InvalidParameterError("max_iters must be >= 1")
         if self.tolerance <= 0:
             raise InvalidParameterError("tolerance must be > 0")
-        if self.variance_floor <= 0:
-            raise InvalidParameterError("variance_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,19 @@ class IterationTrace:
         return np.array([getattr(r, attr) for r in self.records])
 
     def to_csv(self):
+        """One row per record; ``fault`` is empty on a clean iteration."""
         lines = [",".join(TRACE_COLUMNS)]
         for r in self.records:
-            lines.append(",".join([str(r.iteration)] + [
-                repr(float(val)) for val in (r.v_pri, r.v_post, r.v_orth,
-                                             r.t_star, r.psnr, r.residual)]))
+            values = (r.v_pri, r.v_post, r.v_orth, r.t_star, r.psnr,
+                      r.residual)
+            fault = (r.fault or "").replace(",", ";").replace("\n", " ")
+            lines.append(",".join([str(r.iteration)]
+                                  + [repr(float(val)) for val in values]
+                                  + [fault]))
         return "\n".join(lines) + "\n"
 
 
-def init_state(y, n=None, variance_floor=1e-9):
+def init_state(y, n=None):
     """Zero-mean starting belief with variance ||y||^2 / M.
 
     ``n`` sets the mean length when the channel input is not the same length
@@ -158,12 +163,12 @@ def init_state(y, n=None, variance_floor=1e-9):
     if variance == 0.0:
         warnings.warn("all-zero observation: initial variance clamped",
                       RuntimeWarning, stacklevel=2)
-        variance = variance_floor
+        variance = VARIANCE_FLOOR
     size = n if n is not None else m
     return GaussMessage(mean=np.zeros(size), variance=variance, domain="x")
 
 
-def lmmse_estimate(ch, prior, y, variance_floor=1e-9):
+def lmmse_estimate(ch, prior, y):
     """Gaussian posterior of the channel input given y and a Gaussian prior.
 
     mean = x_pri + v A^T (sigma^2 I + v A A^T)^{-1} (y - A x_pri), evaluated
@@ -193,18 +198,18 @@ def lmmse_estimate(ch, prior, y, variance_floor=1e-9):
 
     per_mode = np.where(denom > 0.0, v - (v * v) * (s * s) / safe, v)
     trace = float(np.sum(per_mode)) + (ch.n_cols - s.size) * v
-    variance = max(trace / ch.m_rows, variance_floor)
+    variance = max(trace / ch.m_rows, VARIANCE_FLOOR)
     return GaussMessage(mean=mean, variance=variance, domain="x")
 
 
-def orthogonalize(post, prior, variance_floor=1e-9):
+def orthogonalize(post, prior):
     """Extrinsic message: remove the prior's contribution from the posterior.
 
     v_orth = (1/v_post - 1/v_pri)^{-1} and
     mean = v_orth (x_post/v_post - x_pri/v_pri).  Requires strict variance
     reduction; otherwise raises NoInformationError.
     """
-    v_post = max(post.variance, variance_floor)
+    v_post = max(post.variance, VARIANCE_FLOOR)
     v_pri = prior.variance
     if v_post >= v_pri:
         raise NoInformationError(
@@ -221,37 +226,37 @@ class CorrectedMessage(GaussMessage):
     residual: float = float("nan")
 
 
-def mmse_correction(x_tilde, x_orth, ch, y, variance_floor=1e-9):
+def mmse_correction(x_tilde, x_orth, ch, y):
     """Rescale the denoised estimate into a new Gaussian pseudo-prior.
 
     The scale beta* = <x_tilde, x_orth> / ||x_tilde||^2 projects x_orth onto
     the denoiser output's direction; the new variance is the mean squared
-    channel residual of the rescaled mean, clamped below at variance_floor.
+    channel residual of the rescaled mean, clamped below at VARIANCE_FLOOR.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     energy = float(np.dot(x_tilde, x_tilde))
     if energy == 0.0:
         raise DegenerateNleError("denoiser output is identically zero")
     beta = float(np.dot(x_tilde, x_orth)) / energy
-    return _residual_message(ch, beta * x_tilde, y, variance_floor)
+    return _residual_message(ch, beta * x_tilde, y)
 
 
-def _residual_message(ch, mean, y, variance_floor):
+def _residual_message(ch, mean, y):
     # the one channel apply of a correction; the loop's trace reuses it
     resid = ch.apply(mean) - y
     residual = float(np.dot(resid, resid))
     return CorrectedMessage(mean=mean,
-                            variance=max(residual / ch.m_rows, variance_floor),
+                            variance=max(residual / ch.m_rows, VARIANCE_FLOOR),
                             domain="x", residual=residual)
 
 
-def check_convergence(prev_mean, new_mean, tolerance, variance_floor=1e-9):
+def check_convergence(prev_mean, new_mean, tolerance):
     """True when ||new - prev|| / max(||prev||, floor) drops below tolerance."""
     prev_mean = np.asarray(prev_mean, dtype=np.float64)
     new_mean = np.asarray(new_mean, dtype=np.float64)
     if prev_mean.shape != new_mean.shape:
         raise InvalidDimensionError("mean length mismatch")
-    denom = max(float(np.linalg.norm(prev_mean)), variance_floor)
+    denom = max(float(np.linalg.norm(prev_mean)), VARIANCE_FLOOR)
     return float(np.linalg.norm(new_mean - prev_mean)) / denom < tolerance
 
 
@@ -275,19 +280,17 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
         raise InvalidDimensionError(
             f"channel expects {ch.n_cols} inputs, operator outputs {op.m}")
     trace = IterationTrace()
-    state = init_state(y, n=ch.n_cols, variance_floor=cfg.variance_floor)
+    state = init_state(y, n=ch.n_cols)
     truth_values = truth.values if truth is not None else None
 
     for it in range(1, cfg.max_iters + 1):
         v_pri = state.variance
-        if it > 1 and v_pri <= cfg.variance_floor:
+        if it > 1 and v_pri <= VARIANCE_FLOOR:
             # residual already at the floor: nothing left to gain
             break
         try:
-            post = lmmse_estimate(ch, state, y,
-                                  variance_floor=cfg.variance_floor)
-            orth = orthogonalize(post, state,
-                                 variance_floor=cfg.variance_floor)
+            post = lmmse_estimate(ch, state, y)
+            orth = orthogonalize(post, state)
         except RmOampError as exc:
             trace.error = f"iteration {it}: {exc}"
             break
@@ -310,12 +313,10 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
 
         x_tilde = rm_forward(op, s_est)
         try:
-            new_state = mmse_correction(x_tilde, orth.mean, ch, y,
-                                        variance_floor=cfg.variance_floor)
+            new_state = mmse_correction(x_tilde, orth.mean, ch, y)
         except DegenerateNleError as exc:
             fault = f"degenerate nle: {exc}"
-            new_state = _residual_message(ch, orth.mean, y,
-                                          cfg.variance_floor)
+            new_state = _residual_message(ch, orth.mean, y)
         except RmOampError as exc:
             trace.error = f"iteration {it}: {exc}"
             break
@@ -329,7 +330,7 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
             residual=new_state.residual, fault=fault))
 
         converged = check_convergence(state.mean, new_state.mean,
-                                      cfg.tolerance, cfg.variance_floor)
+                                      cfg.tolerance)
         state = new_state
         if converged:
             break
@@ -343,13 +344,12 @@ def lmmse_baseline(y, ch, op, cfg=None, truth=None):
     """One-shot linear reconstruction: LMMSE from the cold-start belief.
 
     The denoiser-free reference point: same initialization and linear
-    estimator as :func:`run_receiver`, no outer loop.
+    estimator as :func:`run_receiver`, no outer loop.  ``cfg`` keeps the
+    two call shapes alike; none of its fields changes the estimate.
     """
-    if cfg is None:
-        cfg = ReceiverConfig()
     y = np.asarray(y, dtype=np.float64)
-    state = init_state(y, n=ch.n_cols, variance_floor=cfg.variance_floor)
-    post = lmmse_estimate(ch, state, y, variance_floor=cfg.variance_floor)
+    state = init_state(y, n=ch.n_cols)
+    post = lmmse_estimate(ch, state, y)
     s_hat = rm_inverse(op, post.mean)
     shape = truth.shape if truth is not None else None
     return SourceSignal(values=s_hat, shape=shape), post

@@ -61,26 +61,6 @@ class RmOperator:
     def __post_init__(self):
         object.__setattr__(self, "_gather", self.perm[self.selection])
 
-    @property
-    def compression_ratio(self):
-        return self.m / self.n
-
-    def forward(self, s):
-        return rm_forward(self, s)
-
-    def inverse(self, x):
-        return rm_inverse(self, x)
-
-    def to_descriptor(self):
-        """Small text record from which the operator can be regenerated."""
-        return f"rmop n={self.n} m={self.m} seed={self.seed}"
-
-    @classmethod
-    def from_descriptor(cls, text):
-        fields = dict(tok.split("=", 1) for tok in text.split()[1:])
-        return build_rm_operator(int(fields["n"]), int(fields["m"]),
-                                 int(fields["seed"]))
-
 
 def build_rm_operator(n, m, seed):
     """Draw the operator factors from one seeded counter-based generator.

@@ -128,6 +128,19 @@ class TestFaults:
             with pytest.raises(BridgeError, match="closed"):
                 client.denoise_once(np.ones(8), 0.5, 1.0)
 
+    def test_write_deadline_when_child_never_reads(self):
+        # 16 MB is far above the socket buffer, so the write itself stalls
+        client = BridgeClient.spawn(
+            [sys.executable, "-c", "import time; time.sleep(30)"],
+            timeout=0.5)
+        try:
+            with pytest.raises(BridgeTimeoutError, match="while writing"):
+                client.denoise_once(np.zeros(4_000_000), 0.5, 1.0)
+            with pytest.raises(BridgeError, match="bridge is closed"):
+                client.denoise_once(np.ones(4), 0.5, 1.0)
+        finally:
+            client.close()
+
     def test_dead_child_raises_bridge_error(self):
         client = BridgeClient.spawn([sys.executable, "-c", "pass"],
                                     timeout=2.0)
@@ -224,6 +237,26 @@ class TestSocketTransport:
         finally:
             client.close()
         thread.join(timeout=5.0)
+
+    def test_connect_stall_hits_timeout_and_closes(self):
+        lsock = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+        thread = threading.Thread(
+            target=lambda: accepted.append(lsock.accept()[0]), daemon=True)
+        thread.start()
+        client = BridgeClient.connect("127.0.0.1", lsock.getsockname()[1],
+                                      timeout=0.3)
+        try:
+            with pytest.raises(BridgeTimeoutError):
+                client.denoise_once(np.ones(4), 0.5, 1.0)
+            with pytest.raises(BridgeError, match="bridge is closed"):
+                client.denoise_once(np.ones(4), 0.5, 1.0)
+        finally:
+            client.close()
+            thread.join(timeout=5.0)
+            for conn in accepted:
+                conn.close()
+            lsock.close()
 
 
 class TestBridgePrior:

@@ -242,10 +242,10 @@ class TestReceiverConfig:
     def test_defaults(self):
         cfg = ReceiverConfig()
         assert cfg.max_iters == 12 and cfg.tolerance == 1e-4
-        assert cfg.variance_floor == 1e-9 and cfg.divergence_seed == 0
+        assert cfg.divergence_seed == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": 0}, {"tolerance": 0.0}, {"variance_floor": 0.0},
+        {"max_iters": 0}, {"tolerance": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -274,9 +274,10 @@ class TestRunReceiver:
         _, trace = run_receiver(y, ch, op, rm.AnalyticGaussianPrior(),
                                 truth=src)
         assert TRACE_COLUMNS == ("iter", "v_pri", "v_post", "v_orth",
-                                 "t_star", "psnr", "residual")
+                                 "t_star", "psnr", "residual", "fault")
         csv = trace.to_csv()
-        assert csv.splitlines()[0] == "iter,v_pri,v_post,v_orth,t_star,psnr,residual"
+        assert (csv.splitlines()[0]
+                == "iter,v_pri,v_post,v_orth,t_star,psnr,residual,fault")
         assert len(csv.splitlines()) == len(trace) + 1
 
     def test_no_truth_gives_nan_psnr(self):
@@ -429,6 +430,34 @@ class TestLoopResidual:
                                 ReceiverConfig(max_iters=5, tolerance=1e-12))
         assert trace.error is None and len(trace) == 5
         assert len(calls) == 2 * len(trace)
+
+
+class TestTraceCsvFault:
+    @staticmethod
+    def fault_fields(trace):
+        rows = trace.to_csv().splitlines()[1:]
+        assert len(rows) == len(trace) >= 1
+        return [row.split(",")[-1] for row in rows]
+
+    def test_faulted_run_shows_in_every_row(self):
+        src, op, ch, y, _ = compressed_setup()
+        _, trace = run_receiver(y, ch, op, ZeroPrior(), truth=src)
+        faults = [r.fault for r in trace.records]
+        assert all(faults)
+        assert self.fault_fields(trace) == faults
+
+    def test_clean_run_leaves_the_field_empty(self):
+        src, op, ch, y, gm = compressed_setup()
+        _, trace = run_receiver(y, ch, op, gm, ReceiverConfig(max_iters=3),
+                                truth=src)
+        assert self.fault_fields(trace) == [""] * len(trace)
+
+    def test_fault_text_stays_one_field(self):
+        trace = rm.IterationTrace(records=[rm.IterationRecord(
+            1, 1.0, 0.5, 1.0, 0.5, 10.0, 2.0, fault="bad, late\nreply")])
+        row = trace.to_csv().splitlines()[1].split(",")
+        assert len(row) == len(TRACE_COLUMNS)
+        assert row[-1] == "bad; late reply"
 
 
 class TestLmmseBaseline:
