@@ -17,8 +17,8 @@ from .errors import (BridgeError, BridgeProtocolError, BridgeTimeoutError,
                      RmOampError, SingularSystemError)
 from .rm_operator import (RmOperator, build_rm_operator, dct_transform,
                           rm_forward, rm_inverse)
-from .channel import (ChannelInstance, FadingProfile, build_channel,
-                      channel_from_descriptor, fading_profile,
+from .channel import (ChannelInstance, FadingProfile, OrthoFactor,
+                      build_channel, channel_from_descriptor, fading_profile,
                       gen_conditioned_channel, gen_identity_channel,
                       gen_tdl_fading_channel, rayleigh_fit_statistic,
                       sample_fading_taps, transmit)

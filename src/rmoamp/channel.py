@@ -2,8 +2,11 @@
 
 Channels are stored by their SVD factors rather than as dense matrices: the
 linear estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis,
-so keeping ``(U, sigma, V^T)`` makes every receiver iteration O(dim^2) instead
-of O(dim^3).  Three generators are provided:
+so keeping ``(U, sigma, V^T)`` makes every receiver iteration a few factor
+applies instead of an O(dim^3) solve.  The identity and ``fast`` conditioned
+channels keep their factors as :class:`OrthoFactor` operators, which hold
+O(dim) state and apply in O(dim log dim); the Haar and fading channels keep
+dense O(dim^2) factors.  Three generators are provided:
 
 * identity (pure-compression AWGN baseline),
 * controlled-conditioning with Haar-like factors and a chosen singular
@@ -13,9 +16,10 @@ of O(dim^3).  Three generators are provided:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.fft import dct, idct
 from scipy.special import j0 as _bessel_j0
 
 from .errors import InvalidDimensionError, InvalidParameterError
@@ -23,6 +27,7 @@ from .fileio import write_matrix
 
 __all__ = [
     "ChannelInstance",
+    "OrthoFactor",
     "FadingProfile",
     "gen_identity_channel",
     "gen_conditioned_channel",
@@ -36,13 +41,58 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class OrthoFactor:
+    """Orthogonal ``dim x dim`` matrix ``P C S`` kept as O(dim) state.
+
+    ``S = diag(signs)``, ``C`` is the orthonormal DCT-II and ``P`` picks rows,
+    ``(P z)[i] = z[perm[i]]``.  Without ``signs`` and ``perm`` the factor is
+    the identity.  ``@`` applies it to a vector or along axis 0 of a matrix,
+    ``.T`` is the transpose and ``np.asarray(factor)`` the dense matrix.
+    """
+
+    dim: int
+    signs: np.ndarray = None
+    perm: np.ndarray = None
+    transposed: bool = False
+
+    @property
+    def shape(self):
+        return (self.dim, self.dim)
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise InvalidDimensionError(
+                f"expected {self.dim} rows, got shape {x.shape}")
+        if self.signs is None:
+            return x.copy()
+        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
+        if not self.transposed:
+            return dct(x * signs, axis=0, norm="ortho")[self.perm]
+        z = np.empty_like(x)
+        z[self.perm] = x
+        return idct(z, axis=0, norm="ortho") * signs
+
+    def __array__(self, dtype=None, copy=None):
+        # the dense matrix: desk-scale dims only
+        dense = self @ np.eye(self.dim)
+        return dense if dtype is None else dense.astype(dtype)
+
+
 @dataclass(frozen=True)
 class ChannelInstance:
     """A channel ``y = A x + n`` stored via ``A = U diag(s) V^T``.
 
     ``u`` is (m_rows, k), ``s`` is a nonincreasing length-k spectrum, ``vt``
-    is (k, n_cols); ``sigma2`` is the AWGN variance.  Instances are immutable
-    and safe for concurrent read-only use.
+    is (k, n_cols); ``sigma2`` is the AWGN variance.  ``u`` and ``vt`` are
+    dense arrays or :class:`OrthoFactor` operators; both support ``@``,
+    ``.T`` and ``.shape``.  Instances are immutable and safe for concurrent
+    read-only use.
     """
 
     u: np.ndarray
@@ -78,7 +128,7 @@ class ChannelInstance:
 
     def dense(self):
         """Assemble the dense matrix (use only at desk-scale dims)."""
-        return (self.u * self.s) @ self.vt
+        return (np.asarray(self.u) * self.s) @ np.asarray(self.vt)
 
     def condition_number(self):
         smin = self.s[-1]
@@ -127,8 +177,8 @@ def gen_identity_channel(dim, sigma2):
     """Identity channel: pure AWGN, flat unit spectrum."""
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
-    eye = np.eye(dim)
-    return ChannelInstance(u=eye, s=np.ones(dim), vt=eye.copy(),
+    return ChannelInstance(u=OrthoFactor(dim), s=np.ones(dim),
+                           vt=OrthoFactor(dim),
                            sigma2=float(sigma2), seed=0,
                            meta={"type": "identity", "dim": int(dim)})
 
@@ -141,15 +191,12 @@ def _haar_orthogonal(dim, rng):
 
 def _fast_orthogonal(dim, rng):
     # Structured pseudo-random orthogonal factor: sign flips, orthonormal DCT,
-    # row permutation.  O(dim^2 log dim) to assemble vs O(dim^3) for QR; not
-    # Haar, but mixes globally, which is what the receiver algebra relies on.
-    from scipy.fft import dct
-
+    # row permutation.  O(dim) state and O(dim log dim) per apply vs O(dim^3)
+    # for QR; not Haar, but mixes globally, which is what the receiver
+    # algebra relies on.
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     perm = rng.permutation(dim)
-    q = dct(np.eye(dim), axis=0, norm="ortho")
-    q *= signs[np.newaxis, :]
-    return q[perm, :]
+    return OrthoFactor(dim, signs=signs, perm=perm)
 
 
 def _spectrum(dim, kappa, shape):
@@ -171,8 +218,8 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     shape (``linear`` or ``geometric``) and is normalized to unit average
     power.  ``factor_method`` selects how the orthogonal factors are drawn:
     ``"haar"`` (QR of seeded Gaussian matrices, the default) or ``"fast"``
-    (seeded sign/DCT/permutation scrambling, much cheaper at dims >= 4096 on
-    a single core).
+    (seeded sign/DCT/permutation scrambling kept as :class:`OrthoFactor`
+    operators: O(dim) state, O(dim log dim) per apply).
     """
     if kappa < 1:
         raise InvalidParameterError(f"condition number must be >= 1, got {kappa}")

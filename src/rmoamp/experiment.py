@@ -53,7 +53,8 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "RMOAMP_OUTPUT_ROOT"
 
-TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "error")
+TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "faults",
+                 "error")
 SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
                  "mean_ssim", "std_ssim", "mean_iterations", "mean_nfe",
                  "num_trials", "num_errors")
@@ -100,6 +101,7 @@ class TrialResult:
     nfe: int
     wall_time: float
     error: str = ""
+    faults: int = 0
 
 
 @dataclass
@@ -150,7 +152,8 @@ class MetricReport:
         for t in self.trials:
             lines.append(",".join([
                 str(t.trial), repr(float(t.psnr)), repr(float(t.ssim)),
-                str(t.iterations), str(t.nfe), t.error.replace(",", ";")]))
+                str(t.iterations), str(t.nfe), str(t.faults),
+                t.error.replace(",", ";")]))
         return "\n".join(lines) + "\n"
 
     def aggregate_csv(self):
@@ -279,7 +282,8 @@ def run_trial(cfg, trial):
         trial=trial, psnr=trial_psnr, ssim=trial_ssim,
         iterations=len(trace), nfe=getattr(prior, "eval_count", 0),
         wall_time=time.perf_counter() - t0,
-        error=trace.error or "")
+        error=trace.error or "",
+        faults=sum(1 for r in trace.records if r.fault))
     return result, trace, estimate
 
 

@@ -1,11 +1,15 @@
 """Channel generators: spectra, factors, fading statistics, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.special import j0
 
 import rmoamp as rm
 from rmoamp import InvalidParameterError
+from rmoamp.channel import _fast_orthogonal
 
 
 class TestIdentityChannel:
@@ -16,6 +20,10 @@ class TestIdentityChannel:
         assert np.array_equal(ch.apply_t(x), x)
         assert ch.sigma2 == 0.25
         assert ch.condition_number() == 1.0
+        assert np.array_equal(ch.dense(), np.eye(6))
+        out = ch.u @ x
+        out[0] = -1.0
+        assert x[0] == 0.0  # the identity factor returns a copy
 
     def test_rejects_bad_dim(self):
         with pytest.raises(InvalidParameterError):
@@ -68,6 +76,72 @@ class TestConditionedChannel:
         with pytest.raises(InvalidParameterError):
             rm.gen_conditioned_channel(8, 2.0, "linear", 0.0, seed=0,
                                        factor_method="butterfly")
+
+
+def drawn_fast_factor(dim, seed):
+    """The fast factor and its dense form, built from the same draws."""
+    factor = _fast_orthogonal(dim, np.random.Generator(np.random.Philox(seed)))
+    rng = np.random.Generator(np.random.Philox(seed))
+    signs = rng.integers(0, 2, size=dim) * 2 - 1
+    perm = rng.permutation(dim)
+    dense = (dct(np.eye(dim), axis=0, norm="ortho") * signs)[perm]
+    return factor, dense
+
+
+class TestFastFactor:
+    @pytest.mark.parametrize("dim", [1, 2, 17, 64])
+    def test_dense_form_matches_the_draws(self, dim):
+        factor, dense = drawn_fast_factor(dim, seed=21)
+        assert factor.shape == (dim, dim)
+        assert np.max(np.abs(np.asarray(factor) - dense)) < 1e-12
+        assert np.max(np.abs(np.asarray(factor.T) - dense.T)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 17, 64])
+    def test_apply_matches_dense_form(self, dim):
+        factor, dense = drawn_fast_factor(dim, seed=22)
+        rng = np.random.Generator(np.random.Philox(23))
+        for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            assert np.max(np.abs(factor @ x - dense @ x)) < 1e-12
+            assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-12
+
+    def test_rejects_wrong_length(self):
+        factor, _ = drawn_fast_factor(8, seed=24)
+        with pytest.raises(rm.InvalidDimensionError):
+            factor @ np.ones(7)
+
+    def test_lmmse_matches_dense_factors(self):
+        ch = rm.gen_conditioned_channel(64, 10.0, "geometric", 0.01, seed=25,
+                                        factor_method="fast")
+        dense = rm.ChannelInstance(u=np.asarray(ch.u), s=ch.s,
+                                   vt=np.asarray(ch.vt), sigma2=ch.sigma2,
+                                   seed=ch.seed)
+        rng = np.random.Generator(np.random.Philox(26))
+        y = rng.standard_normal(64)
+        prior = rm.GaussMessage(mean=rng.standard_normal(64), variance=0.3,
+                                domain="x")
+        fast_post = rm.lmmse_estimate(ch, prior, y)
+        dense_post = rm.lmmse_estimate(dense, prior, y)
+        assert np.max(np.abs(fast_post.mean - dense_post.mean)) < 1e-10
+        assert fast_post.variance == pytest.approx(dense_post.variance,
+                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: rm.gen_conditioned_channel(m, 10.0, "geometric", 0.01,
+                                             seed=27, factor_method="fast"),
+        lambda m: rm.gen_identity_channel(m, sigma2=0.01),
+    ])
+    def test_large_channel_holds_linear_state(self, build):
+        m = 65536
+        tracemalloc.start()
+        try:
+            ch = build(m)
+            y = rm.transmit(ch, np.ones(m), noise_seed=28)
+            back = ch.apply_t(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.shape == (m,) and np.all(np.isfinite(back))
+        assert peak < 64 * 2 ** 20
 
 
 def make_profile(num_taps=3, doppler=0.1, num_symbols=4, powers=None):

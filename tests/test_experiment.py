@@ -226,6 +226,24 @@ class TestRunExperiment:
         run_experiment(toy_config(output_dir="nested/run"))
         assert (tmp_path / "nested" / "run" / "trials.csv").exists()
 
+    @pytest.mark.parametrize("var0,faulted", [(0.0, True), (1.0, False)])
+    def test_trials_csv_counts_faulted_iterations(self, tmp_path, var0,
+                                                  faulted):
+        # var0 = 0 is the point-mass prior: its denoiser output is all zeros,
+        # so every iteration falls back
+        cfg = toy_config(sigma=0.1, beta=0.5, max_iters=4, tolerance=1e-12,
+                         channel={"kind": "conditioned", "kappa": 10.0},
+                         prior={"kind": "analytic-gaussian", "var0": var0},
+                         output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        t = report.trials[0]
+        assert t.iterations == 4 and t.error == ""
+        assert t.faults == (t.iterations if faulted else 0)
+        rows = (tmp_path / "trials.csv").read_text().splitlines()
+        assert rows[0] == "trial,psnr,ssim,iterations,nfe,faults,error"
+        fields = dict(zip(TRIAL_COLUMNS, rows[1].split(",")))
+        assert fields["faults"] == str(t.faults)
+
     def test_run_trial_returns_trace_and_estimate(self):
         result, trace, estimate = run_trial(toy_config(), 0)
         assert result.trial == 0
@@ -252,7 +270,9 @@ class TestMetricReport:
     def test_trials_csv_escapes_commas(self):
         text = self.make_report().trials_csv()
         assert "boom; bang" in text
-        assert text.splitlines()[1] == "0,20.0,0.5,3,6,"
+        assert text.splitlines()[0] == ("trial,psnr,ssim,iterations,nfe,"
+                                        "faults,error")
+        assert text.splitlines()[1] == "0,20.0,0.5,3,6,0,"
 
     def test_sweep_row_fields(self):
         row = self.make_report().sweep_row()
