@@ -113,6 +113,11 @@ class BridgeClient:
                                                 timeout=timeout)
         return client
 
+    @property
+    def closed(self):
+        """True once :meth:`close` has run, by hand or after a fault."""
+        return self._sock is None
+
     # -- byte-level I/O with a shared deadline --------------------------------
 
     def _io(self, call, arg, deadline, what):
@@ -151,7 +156,7 @@ class BridgeClient:
         the stream may still hold a late reply, which the next request
         would otherwise read as its own.
         """
-        if self._sock is None:
+        if self.closed:
             raise BridgeError("bridge is closed")
         s_in = np.asarray(s_in)
         deadline = time.monotonic() + self.timeout

@@ -19,7 +19,7 @@ emitted bytes deterministic for fixed seeds.
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -259,19 +259,38 @@ def _transmission(cfg, trial):
     return source, op, ch, y
 
 
+def _close_prior(prior):
+    client = getattr(prior, "client", None)
+    if client is not None:
+        client.close()
+
+
+def _needs_build(prior):
+    """True before the first trial and after a fault closed a bridge."""
+    client = getattr(prior, "client", None)
+    return prior is None or (client is not None and client.closed)
+
+
 def run_trial(cfg, trial):
-    """One seeded transmit/receive cycle; returns (TrialResult, trace)."""
+    """One seeded transmit/receive cycle; returns (TrialResult, trace,
+    estimate).
+
+    ``cfg.prior`` is either a spec, built for this trial and closed after
+    it, or a prior that :func:`run_experiment` built, used as it is and
+    left open for the next trial.
+    """
     t0 = time.perf_counter()
     source, op, ch, y = _transmission(cfg, trial)
-    prior = build_prior(cfg.prior)
+    owned = not hasattr(cfg.prior, "denoise")
+    prior = build_prior(cfg.prior) if owned else cfg.prior
+    nfe_before = getattr(prior, "eval_count", 0)
     try:
         estimate, trace = run_receiver(y, ch, op, prior,
                                        cfg.receiver_config(trial),
                                        truth=source)
     finally:
-        client = getattr(prior, "client", None)
-        if client is not None:
-            client.close()
+        if owned:
+            _close_prior(prior)
 
     trial_psnr = psnr(source.values, estimate.values)
     trial_ssim = float("nan")
@@ -280,7 +299,8 @@ def run_trial(cfg, trial):
                           np.clip(estimate.image(), 0.0, 1.0))
     result = TrialResult(
         trial=trial, psnr=trial_psnr, ssim=trial_ssim,
-        iterations=len(trace), nfe=getattr(prior, "eval_count", 0),
+        iterations=len(trace),
+        nfe=getattr(prior, "eval_count", 0) - nfe_before,
         wall_time=time.perf_counter() - t0,
         error=trace.error or "",
         faults=sum(1 for r in trace.records if r.fault))
@@ -290,27 +310,38 @@ def run_trial(cfg, trial):
 def run_experiment(cfg):
     """Run all trials of one experiment config; returns a MetricReport.
 
-    Per-trial failures are recorded on the report and do not stop the
-    remaining trials.
+    The prior is built once and shared by the trials, so an external
+    denoiser starts once per experiment.  A bridge fault closes its client;
+    the prior is then built again before the next trial, so a fault never
+    reaches past its own trial.  The prior is closed on the way out, also
+    when an error propagates.  Per-trial failures are recorded on the
+    report and do not stop the remaining trials.
     """
     out_dir = _resolve_output_dir(cfg.output_dir)
     report = MetricReport(config=cfg)
-    for trial in range(cfg.num_trials):
-        t0 = time.perf_counter()
-        try:
-            result, trace, estimate = run_trial(cfg, trial)
-        except RmOampError as exc:
-            report.trials.append(TrialResult(
-                trial=trial, psnr=float("nan"), ssim=float("nan"),
-                iterations=0, nfe=0, wall_time=time.perf_counter() - t0,
-                error=str(exc).replace("\n", " ")))
-            continue
-        report.trials.append(result)
-        if out_dir is not None:
-            trace_path = os.path.join(out_dir, f"trace_trial{trial}.csv")
-            with open(trace_path, "w") as fh:
-                fh.write(trace.to_csv())
-            _save_reconstruction(out_dir, trial, estimate)
+    prior = None
+    try:
+        for trial in range(cfg.num_trials):
+            t0 = time.perf_counter()
+            try:
+                if _needs_build(prior):
+                    prior = build_prior(cfg.prior)
+                result, trace, estimate = run_trial(
+                    replace(cfg, prior=prior), trial)
+            except RmOampError as exc:
+                report.trials.append(TrialResult(
+                    trial=trial, psnr=float("nan"), ssim=float("nan"),
+                    iterations=0, nfe=0, wall_time=time.perf_counter() - t0,
+                    error=str(exc).replace("\n", " ")))
+                continue
+            report.trials.append(result)
+            if out_dir is not None:
+                trace_path = os.path.join(out_dir, f"trace_trial{trial}.csv")
+                with open(trace_path, "w") as fh:
+                    fh.write(trace.to_csv())
+                _save_reconstruction(out_dir, trial, estimate)
+    finally:
+        _close_prior(prior)
     if out_dir is not None:
         with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
             fh.write(report.trials_csv())
@@ -322,8 +353,7 @@ def run_experiment(cfg):
 def baseline_psnr(cfg, trial=0):
     """PSNR of the one-shot linear reconstruction under the same seeds."""
     source, op, ch, y = _transmission(cfg, trial)
-    estimate, _ = lmmse_baseline(y, ch, op, cfg.receiver_config(trial),
-                                 truth=source)
+    estimate, _ = lmmse_baseline(y, ch, op, truth=source)
     return psnr(source.values, estimate.values)
 
 

@@ -1,7 +1,6 @@
 """Reconstruction quality metrics: PSNR and SSIM."""
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import InvalidDimensionError, InvalidParameterError
 
@@ -44,7 +43,9 @@ def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
 
     Local statistics use an 11x11 Gaussian window (sigma 1.5) over valid
     positions.  Images smaller than the window fall back to a single SSIM
-    over global statistics.
+    over global statistics.  ``scipy.signal`` is imported on the first
+    windowed call, which keeps it (and the ``scipy.stats`` it loads) out of
+    ``import rmoamp``.
     """
     x = np.asarray(truth, dtype=np.float64)
     y = np.asarray(estimate, dtype=np.float64)
@@ -61,6 +62,8 @@ def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
         cov = float(np.mean((x - mu_x) * (y - mu_y)))
         return float((2 * mu_x * mu_y + c1) * (2 * cov + c2)
                      / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
+
+    from scipy.signal import convolve2d
 
     w = gaussian_window(window_size, window_sigma)
     mu_x = convolve2d(x, w, mode="valid")

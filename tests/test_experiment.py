@@ -1,14 +1,18 @@
 """Experiment orchestration and the command-line front end."""
 
 import json
+import socket
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rmoamp import (
     AnalyticGaussianPrior,
+    BridgeClient,
     BridgePrior,
     DctSoftThresholdPrior,
     DdimPrior,
@@ -30,6 +34,7 @@ from rmoamp import (
     sweep,
 )
 from rmoamp.cli import config_from_dict, main, parse_config_text
+from rmoamp.echo_bridge import serve
 from rmoamp.experiment import (OUTPUT_ROOT_ENV, SWEEP_COLUMNS, TRIAL_COLUMNS,
                                run_trial)
 from rmoamp.receiver import TRACE_COLUMNS
@@ -193,12 +198,14 @@ class TestRunExperiment:
 
     def test_nfe_counts_predictor_evaluations(self):
         cfg = toy_config(sigma=0.1, max_iters=3, tolerance=1e-12,
+                         num_trials=2,
                          prior={"kind": "flow-matching", "num_steps": 5})
         report = run_experiment(cfg)
-        t = report.trials[0]
-        assert t.error == ""
-        # denoise + shared-probe divergence per iteration, 5 Euler steps each
-        assert t.nfe == 10 * t.iterations
+        # denoise + shared-probe divergence per iteration, 5 Euler steps
+        # each; the prior is shared, so each trial counts only its own
+        for t in report.trials:
+            assert t.error == ""
+            assert t.nfe == 10 * t.iterations
 
     def test_external_bridge_prior_round_trips(self):
         cfg = toy_config(sigma=0.05, max_iters=2, source={
@@ -249,6 +256,126 @@ class TestRunExperiment:
         assert result.trial == 0
         assert len(trace) == result.iterations
         assert estimate.n == 64
+
+
+ECHO_ARGV = [sys.executable, "-m", "rmoamp.echo_bridge"]
+
+
+def bridge_config(**prior):
+    """Three short trials behind the echo server (or ``prior``'s bridge)."""
+    return toy_config(sigma=0.05, max_iters=2, num_trials=3,
+                      source={"kind": "gaussian", "n": 32, "seed": 9},
+                      prior=dict(kind="external-bridge",
+                                 **(prior or {"argv": ECHO_ARGV})))
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Child processes started through BridgeClient.spawn, in order."""
+    procs = []
+    original = BridgeClient.spawn
+
+    def counting(cls, argv, timeout=5.0):
+        client = original(argv, timeout=timeout)
+        procs.append(client._proc)
+        return client
+
+    monkeypatch.setattr(BridgeClient, "spawn", classmethod(counting))
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+class TestSharedPrior:
+    def test_one_child_serves_every_trial(self, spawned):
+        report = run_experiment(bridge_config())
+        assert len(spawned) == 1
+        assert [t.error for t in report.trials] == ["", "", ""]
+        assert all(t.nfe == 2 * t.iterations for t in report.trials)
+        assert spawned[0].poll() is not None  # reaped at the end
+
+    def test_run_trial_leaves_a_built_prior_open(self):
+        cfg = bridge_config()
+        prior = build_prior(cfg.prior)
+        try:
+            nfes = []
+            for trial in (0, 1):
+                result, _, _ = run_trial(replace(cfg, prior=prior), trial)
+                assert result.error == "" and not prior.client.closed
+                assert result.nfe == 2 * result.iterations
+                nfes.append(result.nfe)
+            assert prior.eval_count == sum(nfes)
+        finally:
+            prior.client.close()
+
+    def test_fault_respawns_before_the_next_trial(self, spawned, tmp_path):
+        # a late child answers its first request after 1 s, past the 0.3 s
+        # timeout, so each trial faults on its own first call; a child shared
+        # past the fault would make later trials start on "bridge is closed"
+        cfg = replace(bridge_config(argv=ECHO_ARGV + ["--mode", "late"],
+                                    timeout=0.3),
+                      output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        assert len(spawned) == 3
+        for t in report.trials:
+            rows = (tmp_path / f"trace_trial{t.trial}.csv").read_text()
+            first = dict(zip(TRACE_COLUMNS, rows.splitlines()[1].split(",")))
+            assert "timeout" in first["fault"]
+            assert "bridge is closed" not in first["fault"]
+            assert t.faults == t.iterations
+
+    @pytest.mark.parametrize("mode,connections",
+                             [("echo", 1), ("wrong-length", 3)])
+    def test_connect_mode_reconnects_only_after_a_fault(self, mode,
+                                                        connections):
+        lsock = socket.create_server(("127.0.0.1", 0))
+        lsock.settimeout(0.1)
+        stop = threading.Event()
+        conns = []
+
+        def serve_one(conn):
+            with conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+                try:
+                    serve(rfile, wfile, mode)
+                except OSError:
+                    pass  # the client reset the stream after a fault
+
+        def accept_all():
+            while not stop.is_set():
+                try:
+                    conn, _ = lsock.accept()
+                except TimeoutError:
+                    continue
+                conns.append(conn)
+                threading.Thread(target=serve_one, args=(conn,),
+                                 daemon=True).start()
+
+        thread = threading.Thread(target=accept_all, daemon=True)
+        thread.start()
+        try:
+            report = run_experiment(bridge_config(
+                host="127.0.0.1", port=lsock.getsockname()[1]))
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            lsock.close()
+            for conn in conns:
+                conn.close()
+        assert len(conns) == connections
+        assert all((t.faults == 0) == (mode == "echo")
+                   for t in report.trials)
+
+    def test_child_reaped_when_a_trial_raises(self, spawned, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("not an RmOampError")
+
+        monkeypatch.setattr("rmoamp.experiment.run_receiver", explode)
+        with pytest.raises(RuntimeError, match="not an RmOampError"):
+            run_experiment(bridge_config())
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
 
 
 class TestMetricReport:

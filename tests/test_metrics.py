@@ -1,5 +1,8 @@
 """PSNR and SSIM against direct arithmetic and a naive windowed oracle."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,14 @@ class TestSsim:
             ssim(np.zeros((4, 4)), np.zeros((5, 4)))
         with pytest.raises(InvalidDimensionError):
             ssim(np.zeros(16), np.zeros(16))
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # every bridge child imports rmoamp, so its start pays for what this
+    # loads; ssim brings in scipy.signal on its first windowed call
+    code = ("import sys, rmoamp; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], "
+            "['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

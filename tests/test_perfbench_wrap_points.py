@@ -7,9 +7,12 @@ pass unnoticed.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+from rmoamp import ExperimentConfig, run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,7 +25,8 @@ def load_tracing():
     return module
 
 
-WRAP_POINTS = sorted({point for points in load_tracing().WRAP_POINTS.values()
+TRACING_MODULE = load_tracing()
+WRAP_POINTS = sorted({point for points in TRACING_MODULE.WRAP_POINTS.values()
                       for point in points})
 
 
@@ -34,3 +38,23 @@ def test_wrap_point_resolves(module, path):
     for part in outer:
         owner = getattr(owner, part)
     assert attr in vars(owner), f"{module}.{path} is not defined on its owner"
+
+
+
+def test_trial_log_sees_every_trial_of_a_bridge_run():
+    # TrialLog replaces rmoamp.experiment.run_trial with logged(cfg, trial);
+    # run_experiment must keep calling that name with those two arguments,
+    # or every benchmark trial fails
+    cfg = ExperimentConfig(
+        source={"kind": "gaussian", "n": 32, "seed": 9}, sigma=0.05,
+        max_iters=2, num_trials=2,
+        prior={"kind": "external-bridge",
+               "argv": [sys.executable, "-m", "rmoamp.echo_bridge"]})
+    patches = TRACING_MODULE.Patches()
+    log = TRACING_MODULE.TrialLog(patches)
+    try:
+        report = run_experiment(cfg)
+    finally:
+        patches.restore()
+    assert [t.error for t in report.trials] == ["", ""]
+    assert all(log.get(t) is not None for t in report.trials)
