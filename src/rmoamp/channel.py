@@ -91,8 +91,9 @@ class ChannelInstance:
     ``u`` is (m_rows, k), ``s`` is a nonincreasing length-k spectrum, ``vt``
     is (k, n_cols); ``sigma2`` is the AWGN variance.  ``u`` and ``vt`` are
     dense arrays or :class:`OrthoFactor` operators; both support ``@``,
-    ``.T`` and ``.shape``.  Instances are immutable and safe for concurrent
-    read-only use.
+    ``.T`` and ``.shape``.  Instances are immutable, factor arrays included
+    (:func:`build_channel` shares them between instances and makes them
+    read-only), and safe for concurrent use.
     """
 
     u: np.ndarray
@@ -331,8 +332,48 @@ def fading_profile(spec):
                          num_symbols=spec.get("num_symbols", 16))
 
 
+# (key, channel) of the last build_channel miss, or None
+_last_built = None
+
+
+def _freeze(ch):
+    """Make every factor array of ``ch`` read-only."""
+    for factor in (ch.u, ch.s, ch.vt):
+        if isinstance(factor, OrthoFactor):
+            arrays = (factor.signs, factor.perm)
+        else:
+            arrays = (factor,)
+        for array in arrays:
+            if array is not None:
+                array.setflags(write=False)
+
+
 def build_channel(spec, dim, sigma2, seed):
-    """Instantiate a channel from a spec dict (``kind`` plus its keys)."""
+    """Instantiate a channel from a spec dict (``kind`` plus its keys).
+
+    A call with the same ``(spec, dim, seed)`` as the previous call reuses
+    that channel's factors and only swaps in ``sigma2``, so a sweep over
+    noise levels builds each channel once.  The factor arrays are therefore
+    shared and read-only.  The last channel built stays referenced until a
+    call with a different key; a miss drops it before building the next.
+    """
+    global _last_built
+    # exact: json writes floats at full precision, where numpy's repr would
+    # print tap powers that differ in the 12th digit alike
+    key = (json.dumps(spec, sort_keys=True,
+                      default=lambda o: np.asarray(o).tolist()), dim, seed)
+    last = _last_built
+    if last is not None and last[0] == key:
+        return replace(last[1], sigma2=float(sigma2))
+    # drop the old factors before the build allocates the new ones
+    _last_built = last = None
+    ch = _generate(spec, dim, sigma2, seed)
+    _freeze(ch)
+    _last_built = (key, ch)
+    return ch
+
+
+def _generate(spec, dim, sigma2, seed):
     kind = spec.get("kind", "identity")
     if kind == "identity":
         return gen_identity_channel(dim, sigma2=sigma2)

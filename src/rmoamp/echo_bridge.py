@@ -38,34 +38,42 @@ def _read_exact(stream, nbytes):
 
 
 def serve(stdin, stdout, mode="echo", scale=1.0):
-    while True:
-        head = _read_exact(stdin, _REQ_HEAD.size)
-        if head is None:
-            return 0
-        magic, n, t_star, v = _REQ_HEAD.unpack(head)
-        if magic != REQUEST_MAGIC:
-            return 1
-        payload = _read_exact(stdin, 4 * n)
-        if payload is None:
-            return 1
-        values = np.frombuffer(payload, dtype="<f4")
+    """Answer requests until the client closes; returns the exit status.
 
-        if mode == "stall":
-            time.sleep(3600.0)
-            return 0
-        if mode == "late":
-            time.sleep(LATE_DELAY)
-            mode = "echo"
-        if mode == "wrong-length":
-            out = values[:-1] if n > 0 else values
-            frame = encode_response(scale * out)
-        elif mode == "bad-magic":
-            frame = (struct.pack("<8sQ", b"OAMPBAD!", n)
-                     + (scale * values).astype("<f4").tobytes())
-        else:
-            frame = encode_response(scale * values)
-        stdout.write(frame)
-        stdout.flush()
+    A client that resets the stream, say by closing with a reply unread,
+    ends the loop as EOF does.
+    """
+    try:
+        while True:
+            head = _read_exact(stdin, _REQ_HEAD.size)
+            if head is None:
+                return 0
+            magic, n, t_star, v = _REQ_HEAD.unpack(head)
+            if magic != REQUEST_MAGIC:
+                return 1
+            payload = _read_exact(stdin, 4 * n)
+            if payload is None:
+                return 1
+            values = np.frombuffer(payload, dtype="<f4")
+
+            if mode == "stall":
+                time.sleep(3600.0)
+                return 0
+            if mode == "late":
+                time.sleep(LATE_DELAY)
+                mode = "echo"
+            if mode == "wrong-length":
+                out = values[:-1] if n > 0 else values
+                frame = encode_response(scale * out)
+            elif mode == "bad-magic":
+                frame = (struct.pack("<8sQ", b"OAMPBAD!", n)
+                         + (scale * values).astype("<f4").tobytes())
+            else:
+                frame = encode_response(scale * values)
+            stdout.write(frame)
+            stdout.flush()
+    except (ConnectionResetError, BrokenPipeError):
+        return 0
 
 
 def main(argv=None):

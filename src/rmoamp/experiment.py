@@ -360,9 +360,12 @@ def baseline_psnr(cfg, trial=0):
 def sweep(grid, output_dir=None):
     """Run every grid point and consolidate one CSV row per point.
 
-    Points are ordered by (beta, sigma), ties keeping grid order.  A failed
-    point contributes a row with NaN aggregates rather than aborting the
-    sweep.  Returns (csv_text, reports).
+    Points are ordered by (beta, sigma), ties keeping grid order.  With one
+    channel per beta, points that differ only in sigma therefore run back
+    to back and share one channel build (see
+    :func:`rmoamp.channel.build_channel`).  A failed point contributes a row
+    with NaN aggregates rather than aborting the sweep.  Returns (csv_text,
+    reports).
     """
     if not grid:
         raise InvalidParameterError("sweep grid is empty")

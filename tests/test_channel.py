@@ -1,6 +1,9 @@
 """Channel generators: spectra, factors, fading statistics, round trips."""
 
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.special import j0
 
 import rmoamp as rm
 from rmoamp import InvalidParameterError
+from rmoamp import channel as channel_mod
 from rmoamp.channel import _fast_orthogonal
 
 
@@ -291,3 +295,121 @@ class TestDescriptors:
         path = tmp_path / "chan.mat"
         ch.export_dense(path)
         assert np.array_equal(rm.read_matrix(path), ch.dense())
+
+
+HAAR = {"kind": "conditioned", "kappa": 4.0, "factor_method": "haar"}
+FADING = {"kind": "tdl-fading", "num_taps": 3, "num_symbols": 2,
+          "tap_powers": [0.6, 0.3, 0.1]}
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    monkeypatch.setattr(channel_mod, "_last_built", None)
+
+
+@pytest.mark.usefixtures("empty_slot")
+class TestBuildSlot:
+    def test_sigma_only_repeat_shares_factors(self):
+        a = rm.build_channel(HAAR, 16, 0.01, seed=3)
+        b = rm.build_channel(HAAR, 16, 0.25, seed=3)
+        assert a.u is b.u and a.vt is b.vt and a.s is b.s
+        assert (a.sigma2, b.sigma2) == (0.01, 0.25)
+        assert b.descriptor_json() == rm.channel_from_descriptor(
+            b.descriptor_json()).descriptor_json()
+
+    @pytest.mark.parametrize("spec", [
+        HAAR, FADING, {"kind": "identity"},
+        {"kind": "conditioned", "factor_method": "fast"}])
+    def test_factor_arrays_are_read_only(self, spec):
+        ch = rm.build_channel(spec, 16, 0.0, seed=3)
+        with pytest.raises(ValueError):
+            ch.s[0] = 1.0
+        if isinstance(ch.u, np.ndarray):
+            with pytest.raises(ValueError):
+                ch.u[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                ch.vt[0, 0] = 1.0
+        else:
+            for array in (ch.u.signs, ch.u.perm, ch.vt.signs, ch.vt.perm):
+                assert array is None or not array.flags.writeable
+
+    def test_key_is_exact(self):
+        a = rm.build_channel(dict(FADING, tap_powers=np.array([0.6, 0.3,
+                                                               0.1])),
+                             16, 0.0, seed=5)
+        b = rm.build_channel(FADING, 16, 0.1, seed=5)
+        assert b.u is a.u
+        # numpy prints both power vectors alike; the key must not
+        nudged = [0.6, 0.3 + 1e-12, 0.1 - 1e-12]
+        assert repr(np.array(nudged)) == repr(np.array(FADING["tap_powers"]))
+        c = rm.build_channel(dict(FADING, tap_powers=nudged), 16, 0.1,
+                             seed=5)
+        assert c.u is not a.u
+        assert not np.array_equal(c.s, a.s)
+
+    @pytest.mark.parametrize("dim,seed", [(18, 5), (16, 6)])
+    def test_dim_or_seed_change_misses(self, dim, seed):
+        a = rm.build_channel(HAAR, 16, 0.0, seed=5)
+        b = rm.build_channel(HAAR, dim, 0.0, seed=seed)
+        assert b.u is not a.u
+        assert b.m_rows == dim and b.seed == seed
+
+    def test_failed_build_leaves_no_entry(self):
+        rm.build_channel(HAAR, 16, 0.0, seed=5)
+        with pytest.raises(InvalidParameterError):
+            rm.build_channel(dict(HAAR, kappa=0.5), 16, 0.0, seed=5)
+        assert channel_mod._last_built is None
+        ch = rm.build_channel(HAAR, 16, 0.3, seed=5)
+        fresh = rm.gen_conditioned_channel(16, 4.0, "geometric", 0.3, seed=5)
+        assert np.array_equal(ch.dense(), fresh.dense())
+        assert ch.sigma2 == 0.3
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_concurrent_calls_get_their_own_key(self):
+        # threads that alternate keys race on the slot: a race may cost an
+        # extra build, but each call must get the factors of its own key
+        refs = {seed: rm.gen_conditioned_channel(8, 4.0, "geometric", 0.0,
+                                                 seed=seed)
+                for seed in (1, 2)}
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                seed, sigma2 = 1 + (i + offset) % 2, float(i)
+                ch = rm.build_channel(HAAR, 8, sigma2, seed=seed)
+                if (ch.sigma2 != sigma2 or ch.seed != seed
+                        or not np.array_equal(ch.u, refs[seed].u)):
+                    wrong.append((seed, sigma2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_old_factors_are_dropped_before_a_miss_builds(self,
+                                                         monkeypatch):
+        # a slot that kept the old channel alive through the next build
+        # (as functools.lru_cache does) would raise the peak memory by one
+        # channel's factors
+        ch = rm.build_channel(HAAR, 16, 0.0, seed=5)
+        old_u = weakref.ref(ch.u)
+        del ch
+        assert old_u() is not None  # the slot holds it
+        build = channel_mod._haar_orthogonal
+
+        def checked(dim, rng):
+            assert old_u() is None, "the old factors are still referenced"
+            return build(dim, rng)
+
+        monkeypatch.setattr(channel_mod, "_haar_orthogonal", checked)
+        rm.build_channel(HAAR, 16, 0.0, seed=6)

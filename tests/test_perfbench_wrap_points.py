@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rmoamp import ExperimentConfig, run_experiment
+from rmoamp import ExperimentConfig, channel, run_experiment, sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,7 +40,6 @@ def test_wrap_point_resolves(module, path):
     assert attr in vars(owner), f"{module}.{path} is not defined on its owner"
 
 
-
 def test_trial_log_sees_every_trial_of_a_bridge_run():
     # TrialLog replaces rmoamp.experiment.run_trial with logged(cfg, trial);
     # run_experiment must keep calling that name with those two arguments,
@@ -58,3 +57,42 @@ def test_trial_log_sees_every_trial_of_a_bridge_run():
         patches.restore()
     assert [t.error for t in report.trials] == ["", ""]
     assert all(log.get(t) is not None for t in report.trials)
+
+
+def test_sigma_only_repeat_is_one_build_under_the_tracer(monkeypatch):
+    # the benchmark's sweep-grid pairs two noise levels per channel; the
+    # tracer must still see one channel.build span per trial, while the
+    # factors are drawn once
+    points = [ExperimentConfig(
+        source={"kind": "gaussian", "n": 64, "seed": 9}, beta=0.5,
+        sigma=sigma, max_iters=3,
+        channel={"kind": "conditioned", "kappa": 10.0,
+                 "factor_method": "haar"}) for sigma in (0.5, 0.05)]
+    monkeypatch.setattr(channel, "_last_built", None)
+    draws = []
+    draw = channel._haar_orthogonal
+
+    def counted(dim, rng):
+        draws.append(dim)
+        return draw(dim, rng)
+
+    monkeypatch.setattr(channel, "_haar_orthogonal", counted)
+    patches = TRACING_MODULE.Patches()
+    tracer = TRACING_MODULE.Tracer(patches)
+    tracer.install()
+    try:
+        text, _ = sweep(points)
+    finally:
+        patches.restore()
+    builds = [s for s in tracer.spans if s.name == "channel.build"]
+    assert len(builds) == 2 and all(s.ok for s in builds)
+    assert builds[0].extra["key"] == builds[1].extra["key"]
+    assert draws == [32, 32]  # u and v of the first point only
+
+    # the same rows when every point draws its own factors
+    fresh = []
+    for point in sorted(points, key=lambda p: p.sigma):
+        monkeypatch.setattr(channel, "_last_built", None)
+        fresh.append(sweep([point])[0].splitlines()[1])
+    assert text.splitlines()[1:] == fresh
+    assert len(draws) == 6
