@@ -1,12 +1,15 @@
 """Linear channel generators and transmission.
 
-Channels are stored by their SVD factors rather than as dense matrices: the
-linear estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis,
-so keeping ``(U, sigma, V^T)`` makes every receiver iteration a few factor
-applies instead of an O(dim^3) solve.  The identity and ``fast`` conditioned
-channels keep their factors as :class:`OrthoFactor` operators, which hold
-O(dim) state and apply in O(dim log dim); the Haar and fading channels keep
-dense O(dim^2) factors.  Three generators are provided:
+No channel is stored as a dense matrix.  The identity and conditioned
+channels are stored by their SVD factors ``(U, sigma, V^T)``: the linear
+estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis, so
+every receiver iteration is a few factor applies instead of an O(dim^3)
+solve.  The identity and ``fast`` conditioned channels keep their factors as
+:class:`OrthoFactor` operators, which hold O(dim) state and apply in
+O(dim log dim); the Haar channel keeps dense O(dim^2) factors.  The fading
+channel is banded and is stored as its band (:class:`BandFactor`), not as
+SVD factors: O(dim * bandwidth) state, applies by banded BLAS and an LMMSE
+step by banded Cholesky.  Three generators are provided:
 
 * identity (pure-compression AWGN baseline),
 * controlled-conditioning with Haar-like factors and a chosen singular
@@ -22,12 +25,14 @@ import numpy as np
 from scipy.fft import dct, idct
 from scipy.special import j0 as _bessel_j0
 
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import (InvalidDimensionError, InvalidParameterError,
+                     SingularSystemError)
 from .fileio import write_matrix
 
 __all__ = [
     "ChannelInstance",
     "OrthoFactor",
+    "BandFactor",
     "FadingProfile",
     "gen_identity_channel",
     "gen_conditioned_channel",
@@ -84,16 +89,108 @@ class OrthoFactor:
         return dense if dtype is None else dense.astype(dtype)
 
 
+@dataclass(frozen=True, eq=False)
+class BandFactor:
+    """Square ``dim x dim`` matrix ``H`` kept in LAPACK general-band storage.
+
+    ``ab[ku + i - j, j] = H[i, j]`` holds the ``kl`` sub- and ``ku``
+    super-diagonals (Fortran order, as BLAS ``dgbmv`` takes it).  ``gram``
+    is the lower band of ``H H^T``, bandwidth ``kd = kl + ku``, stored as
+    ``gram[i - j, j] = (H H^T)[i, j]``.  ``@`` applies ``H`` (or ``H^T``
+    through ``.T``) to a vector and ``np.asarray(factor)`` is the dense
+    matrix.  ``scipy.linalg`` is imported on first use.
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    gram: np.ndarray
+    transposed: bool = False
+
+    @property
+    def shape(self):
+        return (self.ab.shape[1],) * 2
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        from scipy.linalg.blas import dgbmv
+
+        width, dim = self.ab.shape
+        # the wrapper wants at least kl + ku + 1 rows; a band wider than the
+        # matrix (num_taps = dim / 2) gets zero rows appended
+        rows = max(dim, width)
+        if self.transposed:
+            x = np.concatenate([x, np.zeros(rows - dim)])
+        return dgbmv(rows, dim, self.kl, self.ku, 1.0, self.ab, x,
+                     trans=int(self.transposed))[:dim]
+
+    def __array__(self, dtype=None, copy=None):
+        # the dense matrix: desk-scale dims only
+        dim = self.ab.shape[1]
+        dense = np.zeros((dim, dim))
+        for row, band in enumerate(self.ab):
+            offset = row - self.ku  # i - j on this band row
+            j = np.arange(max(0, -offset), min(dim, dim - offset))
+            dense[j + offset, j] = band[j]
+        if self.transposed:
+            dense = dense.T
+        return dense if dtype is None else dense.astype(dtype)
+
+    def spectrum(self):
+        """Nonincreasing singular values, the square roots of eig(H H^T).
+
+        A singular value near zero carries an absolute error of up to about
+        ``sqrt(eps) * s_max``; an SVD of ``H`` would give ``eps * s_max``.
+        """
+        from scipy.linalg import eigvals_banded
+
+        eig = eigvals_banded(self.gram, lower=True)
+        return np.sqrt(np.clip(eig[::-1], 0.0, None))
+
+    def gain(self, sigma2, v, r):
+        """``H^T (sigma2 I + v H H^T)^{-1} r`` by banded Cholesky."""
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        system = v * self.gram
+        system[0] += sigma2
+        try:
+            factor = cholesky_banded(system, overwrite_ab=True, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"sigma^2 I + v H H^T is singular: {exc}") from exc
+        return self.T @ cho_solve_banded((factor, True), r)
+
+
+def _gram_band(ab, kl, ku):
+    """Lower band of ``H H^T`` from the general-band storage of ``H``."""
+    width, dim = ab.shape
+    # rows[t, i] = H[i, i - kl + t]: the band read along the rows of H
+    padded = np.pad(ab, ((0, 0), (kl, ku)))
+    rows = np.stack([padded[width - 1 - t, t:t + dim] for t in range(width)])
+    gram = np.zeros((width, dim))
+    for d in range(width):
+        # (H H^T)[k + d, k] = sum_t H[k + d, j] H[k, j], j = k + d - kl + t
+        gram[d, :dim - d] = np.sum(rows[:width - d, d:] * rows[d:, :dim - d],
+                                   axis=0)
+    return gram
+
+
 @dataclass(frozen=True)
 class ChannelInstance:
-    """A channel ``y = A x + n`` stored via ``A = U diag(s) V^T``.
+    """A channel ``y = A x + n`` stored via ``A = U diag(s) V^T`` or as a band.
 
     ``u`` is (m_rows, k), ``s`` is a nonincreasing length-k spectrum, ``vt``
     is (k, n_cols); ``sigma2`` is the AWGN variance.  ``u`` and ``vt`` are
     dense arrays or :class:`OrthoFactor` operators; both support ``@``,
-    ``.T`` and ``.shape``.  Instances are immutable, factor arrays included
-    (:func:`build_channel` shares them between instances and makes them
-    read-only), and safe for concurrent use.
+    ``.T`` and ``.shape``.  A banded channel (tdl-fading) is not stored by
+    SVD factors: ``u`` is then a :class:`BandFactor` holding ``A`` itself,
+    ``vt`` is None and ``s`` is still its singular spectrum.  Instances are
+    immutable, factor arrays included (:func:`build_channel` shares them
+    between instances and makes them read-only), and safe for concurrent
+    use.
     """
 
     u: np.ndarray
@@ -109,26 +206,48 @@ class ChannelInstance:
 
     @property
     def n_cols(self):
-        return self.vt.shape[1]
+        return (self.u if self.vt is None else self.vt).shape[1]
 
     def apply(self, x):
-        """A @ x through the singular factors."""
+        """A @ x through the singular factors or the band."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise InvalidDimensionError(
                 f"expected length-{self.n_cols} input, got shape {x.shape}")
+        if self.vt is None:
+            return self.u @ x
         return self.u @ (self.s * (self.vt @ x))
 
     def apply_t(self, y):
-        """A^T @ y through the singular factors."""
+        """A^T @ y through the singular factors or the band."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.m_rows,):
             raise InvalidDimensionError(
                 f"expected length-{self.m_rows} input, got shape {y.shape}")
+        if self.vt is None:
+            return self.u.T @ y
         return self.vt.T @ (self.s * (self.u.T @ y))
+
+    def gain(self, v, r):
+        """``A^T (sigma2 I + v A A^T)^{-1} r``, the LMMSE step's lift of r.
+
+        SVD channels divide elementwise in the singular basis, where modes
+        with ``sigma2 + v s^2 = 0`` drop out; a band solves by banded
+        Cholesky and raises :class:`SingularSystemError` when the system is
+        singular (``sigma2 = 0`` with a singular ``A``).
+        """
+        if self.vt is None:
+            return self.u.gain(self.sigma2, v, r)
+        s = self.s
+        denom = self.sigma2 + v * s * s
+        safe = np.where(denom > 0.0, denom, 1.0)
+        gains = np.where(denom > 0.0, s / safe, 0.0)
+        return self.vt.T @ (gains * (self.u.T @ r))
 
     def dense(self):
         """Assemble the dense matrix (use only at desk-scale dims)."""
+        if self.vt is None:
+            return np.asarray(self.u)
         return (np.asarray(self.u) * self.s) @ np.asarray(self.vt)
 
     def condition_number(self):
@@ -285,7 +404,9 @@ def gen_tdl_fading_channel(dim, profile, sigma2, seed):
     complex symbols are split into ``profile.num_symbols`` blocks; each block
     sees its own tap vector from :func:`sample_fading_taps`, and the operator
     convolves the input with the block-local taps (edge-truncated at the
-    start).  The SVD of the realified matrix is computed and stored.
+    start).  The realified matrix is lower-banded (``2 num_taps - 1``
+    sub-diagonals, one super-diagonal) and is stored as that band, with the
+    band of its Gram matrix; no ``dim x dim`` array is formed.
     """
     if dim % 2 != 0:
         raise InvalidParameterError("dim must be even (pairs of real symbols)")
@@ -294,20 +415,22 @@ def gen_tdl_fading_channel(dim, profile, sigma2, seed):
         raise InvalidParameterError(
             f"num_taps={profile.num_taps} exceeds {n_c} complex symbols")
     taps = sample_fading_taps(profile, seed)
-    a_c = np.zeros((n_c, n_c), dtype=np.complex128)
     block = np.minimum(np.arange(n_c) * profile.num_symbols // n_c,
                        profile.num_symbols - 1)
-    for i in range(n_c):
-        lmax = min(profile.num_taps, i + 1)
-        a_c[i, i - lmax + 1:i + 1] = taps[block[i], :lmax][::-1]
-    a_real = np.empty((dim, dim))
-    a_real[0::2, 0::2] = a_c.real
-    a_real[0::2, 1::2] = -a_c.imag
-    a_real[1::2, 0::2] = a_c.imag
-    a_real[1::2, 1::2] = a_c.real
-    u, s, vt = np.linalg.svd(a_real)
-    return ChannelInstance(u=u, s=s, vt=vt, sigma2=float(sigma2),
-                           seed=int(seed),
+    kl, ku = 2 * profile.num_taps - 1, 1
+    ab = np.zeros((kl + ku + 1, dim), order="F")
+    for ell in range(profile.num_taps):
+        # tap ell links complex output i to input j = i - ell, for i >= ell;
+        # ab[ku + row - col, col] holds the realified entry (row, col)
+        c = taps[block[ell:], ell]
+        cols = 2 * (n_c - ell)
+        ab[2 * ell + 1, 0:cols:2] = c.real     # (2i, 2j)
+        ab[2 * ell, 1:cols:2] = -c.imag        # (2i, 2j + 1)
+        ab[2 * ell + 2, 0:cols:2] = c.imag     # (2i + 1, 2j)
+        ab[2 * ell + 1, 1:cols:2] = c.real     # (2i + 1, 2j + 1)
+    band = BandFactor(ab=ab, kl=kl, ku=ku, gram=_gram_band(ab, kl, ku))
+    return ChannelInstance(u=band, s=band.spectrum(), vt=None,
+                           sigma2=float(sigma2), seed=int(seed),
                            meta={"type": "tdl-fading", "dim": int(dim),
                                  "num_taps": int(profile.num_taps),
                                  "tap_powers": profile.tap_powers.tolist(),
@@ -341,6 +464,8 @@ def _freeze(ch):
     for factor in (ch.u, ch.s, ch.vt):
         if isinstance(factor, OrthoFactor):
             arrays = (factor.signs, factor.perm)
+        elif isinstance(factor, BandFactor):
+            arrays = (factor.ab, factor.gram)
         else:
             arrays = (factor,)
         for array in arrays:

@@ -17,6 +17,7 @@ Wall-clock time is tracked in memory but never written to CSV, keeping the
 emitted bytes deterministic for fixed seeds.
 """
 
+import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -360,17 +361,24 @@ def baseline_psnr(cfg, trial=0):
 def sweep(grid, output_dir=None):
     """Run every grid point and consolidate one CSV row per point.
 
-    Points are ordered by (beta, sigma), ties keeping grid order.  With one
-    channel per beta, points that differ only in sigma therefore run back
-    to back and share one channel build (see
+    Points are ordered by beta, then channel spec and channel seed, then
+    sigma, ties keeping grid order.  Points that differ only in sigma
+    therefore run back to back, also in a grid that mixes channel kinds at
+    one rate, and share one channel build (see
     :func:`rmoamp.channel.build_channel`).  A failed point contributes a row
     with NaN aggregates rather than aborting the sweep.  Returns (csv_text,
     reports).
     """
     if not grid:
         raise InvalidParameterError("sweep grid is empty")
-    order = sorted(range(len(grid)),
-                   key=lambda i: (grid[i].beta, grid[i].sigma, i))
+
+    def order_key(i):
+        cfg = grid[i]
+        channel = json.dumps(cfg.channel, sort_keys=True,
+                             default=lambda o: np.asarray(o).tolist())
+        return (cfg.beta, channel, cfg.channel_seed, cfg.sigma, i)
+
+    order = sorted(range(len(grid)), key=order_key)
     lines = [",".join(SWEEP_COLUMNS)]
     reports = []
     for i in order:

@@ -171,10 +171,11 @@ def init_state(y, n=None):
 def lmmse_estimate(ch, prior, y):
     """Gaussian posterior of the channel input given y and a Gaussian prior.
 
-    mean = x_pri + v A^T (sigma^2 I + v A A^T)^{-1} (y - A x_pri), evaluated
-    in the singular basis of A so the matrix inverse is elementwise.  The
-    scalar variance is tr(V_post) / m; directions outside the row space keep
-    the prior variance v.
+    mean = x_pri + v A^T (sigma^2 I + v A A^T)^{-1} (y - A x_pri), where
+    ``ch.gain(v, r)`` applies A^T (sigma^2 I + v A A^T)^{-1} to the residual
+    r.  The scalar variance is tr(V_post) / m, taken over the singular
+    spectrum ``ch.s``; directions outside the row space keep the prior
+    variance v.
     """
     y = np.asarray(y, dtype=np.float64)
     v = prior.variance
@@ -188,14 +189,12 @@ def lmmse_estimate(ch, prior, y):
             f"shape mismatch: y has {y.size}, prior has {prior.n}, "
             f"channel is {ch.m_rows}x{ch.n_cols}")
 
+    r = y - ch.apply(prior.mean)
+    mean = prior.mean + v * ch.gain(v, r)
+
     s = ch.s
     denom = sigma2 + v * s * s
     safe = np.where(denom > 0.0, denom, 1.0)
-    # residual lifted through A^T; modes with denom = 0 have s = 0 and drop out
-    gains = np.where(denom > 0.0, s / safe, 0.0)
-    r = y - ch.apply(prior.mean)
-    mean = prior.mean + v * (ch.vt.T @ (gains * (ch.u.T @ r)))
-
     per_mode = np.where(denom > 0.0, v - (v * v) * (s * s) / safe, v)
     trace = float(np.sum(per_mode)) + (ch.n_cols - s.size) * v
     variance = max(trace / ch.m_rows, VARIANCE_FLOOR)

@@ -148,6 +148,12 @@ class TestFastFactor:
         assert peak < 64 * 2 ** 20
 
 
+def random_profile(num_taps, num_symbols, seed):
+    powers = np.random.Generator(np.random.Philox(seed)).random(num_taps)
+    return make_profile(num_taps=num_taps, num_symbols=num_symbols,
+                        powers=powers / powers.sum())
+
+
 def make_profile(num_taps=3, doppler=0.1, num_symbols=4, powers=None):
     if powers is None:
         powers = np.full(num_taps, 1.0 / num_taps)
@@ -238,11 +244,87 @@ class TestTdlFadingChannel:
         with pytest.raises(InvalidParameterError):
             rm.gen_tdl_fading_channel(8, big, sigma2=0.0, seed=0)
 
-    def test_svd_factors_reassemble(self):
-        p = make_profile(num_taps=3, num_symbols=3)
-        ch = rm.gen_tdl_fading_channel(12, p, sigma2=0.1, seed=8)
-        assert np.max(np.abs(ch.u @ ch.u.T - np.eye(12))) < 1e-10
-        assert np.all(np.diff(ch.s) <= 1e-12)
+    @pytest.mark.parametrize("num_taps,num_symbols,dim", [
+        (1, 1, 8), (3, 3, 12), (3, 4, 40), (6, 2, 12)])
+    def test_spectrum_matches_dense_svd(self, num_taps, num_symbols, dim):
+        # eps-level agreement holds while no singular value nears zero; one
+        # that does is only good to about sqrt(eps) * s_max (see
+        # BandFactor.spectrum)
+        p = random_profile(num_taps, num_symbols, seed=8)
+        ch = rm.gen_tdl_fading_channel(dim, p, sigma2=0.1, seed=8)
+        expected = np.linalg.svd(ch.dense(), compute_uv=False)
+        assert np.max(np.abs(ch.s - expected)) < 1e-12
+        assert np.all(np.diff(ch.s) <= 0.0)
+
+    @pytest.mark.parametrize("num_taps", [1, 3, "n_c"])
+    @pytest.mark.parametrize("num_symbols", [1, 3, 8])
+    def test_gain_matches_dense_oracle(self, num_taps, num_symbols):
+        dim = 24
+        if num_taps == "n_c":
+            num_taps = dim // 2
+        rng = np.random.Generator(np.random.Philox(30))
+        for seed in range(3):
+            p = random_profile(num_taps, num_symbols, seed=seed)
+            ch = rm.gen_tdl_fading_channel(dim, p, sigma2=0.05, seed=seed)
+            h = ch.dense()
+            r = rng.standard_normal(dim)
+            for v in (0.01, 1.0, 30.0):
+                oracle = h.T @ np.linalg.solve(
+                    0.05 * np.eye(dim) + v * h @ h.T, r)
+                assert np.max(np.abs(ch.gain(v, r) - oracle)) < 1e-10
+            x = rng.standard_normal(dim)
+            assert np.max(np.abs(ch.apply(x) - h @ x)) < 1e-12
+            assert np.max(np.abs(ch.apply_t(x) - h.T @ x)) < 1e-12
+
+    def test_lmmse_matches_svd_channel(self):
+        p = random_profile(3, 4, seed=31)
+        ch = rm.gen_tdl_fading_channel(40, p, sigma2=0.02, seed=31)
+        u, s, vt = np.linalg.svd(ch.dense())
+        svd = rm.ChannelInstance(u=u, s=s, vt=vt, sigma2=ch.sigma2,
+                                 seed=ch.seed)
+        rng = np.random.Generator(np.random.Philox(32))
+        y = rng.standard_normal(40)
+        prior = rm.GaussMessage(mean=rng.standard_normal(40), variance=0.4,
+                                domain="x")
+        band_post = rm.lmmse_estimate(ch, prior, y)
+        svd_post = rm.lmmse_estimate(svd, prior, y)
+        assert np.max(np.abs(band_post.mean - svd_post.mean)) < 1e-10
+        assert abs(band_post.variance - svd_post.variance) < 1e-10
+
+    def test_large_channel_holds_band_state(self):
+        # one dense dim x dim factor alone would be 128 MiB
+        dim = 4096
+        tracemalloc.start()
+        try:
+            ch = rm.gen_tdl_fading_channel(dim, rm.fading_profile({}),
+                                           sigma2=0.01, seed=33)
+            y = rm.transmit(ch, np.ones(dim), noise_seed=34)
+            back = ch.gain(0.5, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.shape == (dim,) and np.all(np.isfinite(back))
+        assert ch.s.shape == (dim,)
+        assert peak < 32 * 2 ** 20
+
+    def test_singular_noiseless_system_ends_the_run(self):
+        # a silent first tap leaves the first complex symbol unobserved:
+        # with sigma = 0 the LMMSE system is singular
+        p = rm.FadingProfile(num_taps=3, tap_powers=[0.0, 0.5, 0.5],
+                             doppler_rate=0.1, num_symbols=2)
+        ch = rm.gen_tdl_fading_channel(16, p, sigma2=0.0, seed=35)
+        assert ch.s[-1] < 1e-6
+        prior = rm.GaussMessage(mean=np.zeros(16), variance=1.0, domain="x")
+        with pytest.raises(rm.SingularSystemError):
+            rm.lmmse_estimate(ch, prior, np.ones(16))
+        op = rm.build_rm_operator(16, 16, seed=36)
+        source = rm.SourceSignal(values=np.linspace(0.0, 1.0, 16))
+        y = rm.transmit(ch, rm.rm_forward(op, source.values), noise_seed=37)
+        _, trace = rm.run_receiver(y, ch, op, rm.AnalyticGaussianPrior(),
+                                   truth=source)
+        assert trace.error.startswith("iteration 1: ")
+        assert "singular" in trace.error
+        assert len(trace) == 0
 
 
 class TestTransmit:
@@ -329,6 +411,12 @@ class TestBuildSlot:
                 ch.u[0, 0] = 1.0
             with pytest.raises(ValueError):
                 ch.vt[0, 0] = 1.0
+        elif isinstance(ch.u, rm.BandFactor):
+            assert ch.vt is None
+            with pytest.raises(ValueError):
+                ch.u.ab[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                ch.u.gram[0, 0] = 1.0
         else:
             for array in (ch.u.signs, ch.u.perm, ch.vt.signs, ch.vt.perm):
                 assert array is None or not array.flags.writeable

@@ -33,6 +33,7 @@ from rmoamp import (
     save_source_pgm,
     sweep,
 )
+from rmoamp import channel as channel_mod
 from rmoamp.cli import config_from_dict, main, parse_config_text
 from rmoamp.echo_bridge import serve
 from rmoamp.experiment import (OUTPUT_ROOT_ENV, SWEEP_COLUMNS, TRIAL_COLUMNS,
@@ -426,6 +427,33 @@ class TestBaselineAndSweep:
         assert (tmp_path / "sweep.csv").read_text() == text
         text2, _ = sweep(grid)
         assert text2 == text
+
+    def test_sweep_keeps_sigma_only_repeats_adjacent(self, monkeypatch):
+        # two channel kinds at each rate: ordering by (beta, sigma) alone
+        # interleaves them, so no build would reuse the one before
+        monkeypatch.setattr(channel_mod, "_last_built", None)
+        builds = []
+        generate = channel_mod._generate
+
+        def counted(spec, dim, sigma2, seed):
+            builds.append((spec["kind"], dim))
+            return generate(spec, dim, sigma2, seed)
+
+        monkeypatch.setattr(channel_mod, "_generate", counted)
+        grid = [toy_config(beta=b, sigma=s, channel=c, max_iters=2,
+                           source={"kind": "gaussian", "n": 256, "seed": 9})
+                for c in ({"kind": "conditioned", "kappa": 4.0},
+                          {"kind": "tdl-fading"})
+                for b in (0.5, 1.0) for s in (0.3, 0.1)]
+        text, reports = sweep(grid)
+        assert builds == [("conditioned", 128), ("tdl-fading", 128),
+                          ("conditioned", 256), ("tdl-fading", 256)]
+        keys = [(r.config.beta, r.config.channel["kind"], r.config.sigma)
+                for r in reports]
+        assert keys == [(b, kind, s) for b in (0.5, 1.0)
+                        for kind in ("conditioned", "tdl-fading")
+                        for s in (0.1, 0.3)]
+        assert len(text.splitlines()) == 1 + len(grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -126,10 +126,11 @@ class TestSsim:
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
     # every bridge child imports rmoamp, so its start pays for what this
-    # loads; ssim brings in scipy.signal on its first windowed call
+    # loads; ssim brings in scipy.signal on its first windowed call, and a
+    # fading channel scipy.linalg on its first build
     code = ("import sys, rmoamp; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'signal'], "
-            "['scipy', 'stats'])))")
+            "['scipy', 'stats'], ['scipy', 'linalg'])))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
