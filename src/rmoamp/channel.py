@@ -22,12 +22,11 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.special import j0 as _bessel_j0
 
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      SingularSystemError)
 from .fileio import write_matrix
+from .rm_operator import dct_transform
 
 __all__ = [
     "ChannelInstance",
@@ -78,10 +77,10 @@ class OrthoFactor:
             return x.copy()
         signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
         if not self.transposed:
-            return dct(x * signs, axis=0, norm="ortho")[self.perm]
+            return dct_transform(x * signs)[self.perm]
         z = np.empty_like(x)
         z[self.perm] = x
-        return idct(z, axis=0, norm="ortho") * signs
+        return dct_transform(z, inverse=True) * signs
 
     def __array__(self, dtype=None, copy=None):
         # the dense matrix: desk-scale dims only
@@ -362,12 +361,14 @@ def sample_fading_taps(profile, seed, num_symbols=None):
 
     Each tap is a stationary complex Gaussian AR(1) process with variance
     ``tap_powers[l]`` and lag-1 autocorrelation matching the Jakes value
-    ``J0(2 pi doppler_rate)``.
+    ``J0(2 pi doppler_rate)``.  ``scipy.special`` is imported on first use.
     """
+    from scipy.special import j0
+
     if num_symbols is None:
         num_symbols = profile.num_symbols
     rng = np.random.Generator(np.random.Philox(seed))
-    a = float(_bessel_j0(2.0 * np.pi * profile.doppler_rate))
+    a = float(j0(2.0 * np.pi * profile.doppler_rate))
     scale = np.sqrt(profile.tap_powers / 2.0)
     innov = np.sqrt(max(1.0 - a * a, 0.0))
     draw = lambda: scale * (rng.standard_normal(profile.num_taps)

@@ -123,7 +123,7 @@ def _cmd_inspect_channel(args):
         with open(args.output, "w") as fh:
             fh.write("index,singular_value\n")
             for i, val in enumerate(s):
-                fh.write(f"{i},{val!r}\n")
+                fh.write(f"{i},{float(val)!r}\n")
     return 0
 
 

@@ -15,7 +15,6 @@ and reentrant.
 """
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidParameterError, NleError
 from .rm_operator import dct_transform
@@ -30,6 +29,31 @@ __all__ = [
 # variance floor inside mixture responsibilities; only reached for a
 # point-mass component observed at zero noise
 _VAR_TINY = 1e-30
+
+
+def _logsumexp_rows(a):
+    """``log(sum(exp(a), axis=1))`` for a 2-D array, kept as a column.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=1, keepdims=True)``,
+    so the two agree to the bit: with ``mx`` the row maximum and ``count``
+    how many entries attain it, the result is ``log1p(rest / count) +
+    log(count) + mx``, where ``rest`` sums ``exp(a - mx)`` over the other
+    entries; a row where that is not finite falls back to
+    ``log(sum(exp(a)))``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mx = np.max(a, axis=1, keepdims=True)
+        is_max = a == mx
+        count = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
+        rest = np.exp(np.where(is_max, -np.inf, a) - mx)
+        rest = np.sum(rest, axis=1, keepdims=True, dtype=rest.dtype)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + mx
+        finite = np.isfinite(out)
+        if not finite.all():
+            naive = np.log(np.sum(np.exp(a), axis=1, keepdims=True))
+            out = np.where(finite, out, naive)
+    return out
 
 
 def denoise(prior, s_in, t_star, v):
@@ -99,7 +123,7 @@ class GaussianMixturePrior:
         log_resp = (np.log(np.maximum(self.weights, _VAR_TINY))
                     - 0.5 * np.log(total_var)
                     - 0.5 * (z - self.means) ** 2 / total_var)
-        log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
+        log_resp -= _logsumexp_rows(log_resp)
         resp = np.exp(log_resp)
         gain = self.variances[np.newaxis, :] / total_var
         comp_mean = self.means + gain * (z - self.means)

@@ -11,9 +11,9 @@ stays i.i.d. Gaussian through it.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct as _dct, idct as _idct
 
 from .errors import InvalidDimensionError
 
@@ -113,16 +113,56 @@ def rm_inverse(op, x):
     return op.signs * dct_transform(u, inverse=True)
 
 
+@lru_cache(maxsize=8)
+def _dct_twiddles(n):
+    """Orthonormal twiddles for length ``n``: ``scale_k * exp(-i pi k / 2n)``
+    and ``conj(exp(-i pi k / 2n)) / scale_k`` for ``k <= n // 2``, with
+    ``scale_0 = sqrt(1/n)`` and ``scale_k = sqrt(2/n)``.
+    """
+    shift = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
+    scale = np.full(n // 2 + 1, np.sqrt(2.0 / n))
+    scale[0] = np.sqrt(1.0 / n)
+    forward, inverse = shift * scale, shift.conj() / scale
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
 def dct_transform(v, inverse=False):
-    """Orthonormal DCT-II (forward) / DCT-III (inverse).
+    """Orthonormal DCT-II (forward) / DCT-III (inverse) along axis 0.
 
     Normalization is ``norm='ortho'``: the first basis vector is weighted
     1/sqrt(n) and the rest sqrt(2/n), so the transform matrix is exactly
-    orthogonal and forward followed by inverse is the identity.
+    orthogonal and forward followed by inverse is the identity.  ``v`` is a
+    vector or a matrix whose columns are transformed.
+
+    One real FFT of length n (Makhoul, IEEE TASSP 1980): with ``w`` the
+    even samples followed by the reversed odd ones and ``W = rfft(w)``,
+    ``X[k] = Re(t_k W[k])`` and ``X[n-k] = -Im(t_k W[k])`` for the twiddle
+    ``t_k``; the inverse rebuilds ``W`` from ``X[k] - i X[n-k]`` and reads
+    the samples back out of ``irfft(W)``.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise InvalidDimensionError("dct_transform expects a nonempty 1-D vector")
+    if v.ndim not in (1, 2) or v.shape[0] < 1:
+        raise InvalidDimensionError(
+            "dct_transform expects a nonempty vector or matrix")
+    n = v.shape[0]
+    half, evens = n // 2, (n + 1) // 2
+    twiddle, inv_twiddle = _dct_twiddles(n)
+    col = (-1,) + (1,) * (v.ndim - 1)
     if inverse:
-        return _idct(v, type=2, norm="ortho")
-    return _dct(v, type=2, norm="ortho")
+        spec = np.empty((half + 1,) + v.shape[1:], dtype=np.complex128)
+        spec.real = v[:half + 1]
+        spec.imag[0] = 0.0
+        spec.imag[1:] = -v[n - 1:n - half - 1:-1]
+        spec *= inv_twiddle.reshape(col)
+        w = np.fft.irfft(spec, n=n, axis=0)
+        out = np.empty_like(w)
+        out[0::2] = w[:evens]
+        out[1::2] = w[:evens - 1:-1]
+        return out
+    spec = np.fft.rfft(np.concatenate((v[0::2], v[1::2][::-1])), axis=0)
+    spec *= twiddle.reshape(col)
+    out = np.empty_like(v)
+    out[:half + 1] = spec.real
+    out[half + 1:] = -spec.imag[n - half - 1:0:-1]
+    return out

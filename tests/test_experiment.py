@@ -547,6 +547,30 @@ class TestCli:
         assert csv_lines[0] == "index,singular_value"
         assert len(csv_lines) == 33
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("identity", []),
+        ("conditioned", ["--set", "kappa=4"]),
+        ("conditioned", ["--set", "kappa=4", "--set", "factor_method=fast"]),
+        ("tdl-fading", ["--samples", "200", "--set", "num_symbols=4"]),
+    ])
+    def test_inspect_output_rows_are_numbers(self, tmp_path, capsys, kind,
+                                             extra):
+        # each row is "index,value" with a plain float, never a numpy repr
+        # such as np.float64(...)
+        out_csv = tmp_path / "spectrum.csv"
+        assert main(["inspect-channel", "--kind", kind, "--dim", "16",
+                     "--seed", "3", "--output", str(out_csv)] + extra) == 0
+        capsys.readouterr()
+        header, *rows = out_csv.read_text().splitlines()
+        assert header == "index,singular_value"
+        assert len(rows) == 16
+        for i, row in enumerate(rows):
+            index, value = row.split(",")
+            assert int(index) == i
+            float(value)
+        if kind == "identity":
+            assert all(row.split(",")[1] == "1.0" for row in rows)
+
     def test_inspect_fading_emits_rayleigh_statistic(self, capsys):
         code = main(["inspect-channel", "--kind", "tdl-fading",
                      "--dim", "32", "--samples", "2000", "--seed", "1",

@@ -1,5 +1,6 @@
 """PSNR and SSIM against direct arithmetic and a naive windowed oracle."""
 
+import os
 import subprocess
 import sys
 
@@ -124,13 +125,45 @@ class TestSsim:
             ssim(np.zeros(16), np.zeros(16))
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    # every bridge child imports rmoamp, so its start pays for what this
-    # loads; ssim brings in scipy.signal on its first windowed call, and a
-    # fading channel scipy.linalg on its first build
-    code = ("import sys, rmoamp; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'signal'], "
-            "['scipy', 'stats'], ['scipy', 'linalg'])))")
+def scipy_modules_after(code):
+    # run code in a fresh interpreter and list the scipy modules it loaded
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # every bridge child imports rmoamp, so its start pays for what this
+    # loads: no scipy module at all.  A fading channel brings in
+    # scipy.linalg and scipy.special on its first build, ssim scipy.signal on
+    # its first windowed call, rayleigh_fit_statistic scipy.stats
+    assert scipy_modules_after("import rmoamp") == "[]"
+
+
+def test_bridge_child_and_dense_bridge_parent_load_no_scipy():
+    # what the benchmark's bridge server and its dense-bridge parent run:
+    # the mixture denoiser and its framing, the RM operator, a fast channel
+    server = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "bridge_server.py")
+    code = f"""
+import importlib.util
+import numpy as np
+from rmoamp import (GaussianMixturePrior, build_channel, build_rm_operator,
+                    encode_response, rm_forward, rm_inverse)
+spec = importlib.util.spec_from_file_location("bridge_server", {server!r})
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+rng = np.random.Generator(np.random.Philox(1))
+prior = GaussianMixturePrior([0.9, 0.1], [0.0, 0.0], [1e-4, 1.0])
+encode_response(prior.denoise(rng.standard_normal(64), None, 0.1))
+op = build_rm_operator(64, 32, seed=2)
+x = rm_forward(op, rng.standard_normal(64))
+rm_inverse(op, x)
+ch = build_channel({{"kind": "conditioned", "kappa": 10.0,
+                    "spectrum_shape": "geometric", "factor_method": "fast"}},
+                   32, 0.01, 3)
+ch.gain(0.5, ch.apply(x))
+ch.apply_t(x)
+"""
+    assert scipy_modules_after(code) == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rmoamp import (
     AnalyticGaussianPrior,
@@ -12,7 +13,7 @@ from rmoamp import (
     dct_transform,
     denoise,
 )
-from rmoamp.priors import universal_threshold
+from rmoamp.priors import _logsumexp_rows, universal_threshold
 
 
 def brute_force_gm_posterior(z, weights, means, variances, v):
@@ -105,6 +106,51 @@ class TestGaussianMixture:
             GaussianMixturePrior((0.5, 0.5), (0, 1, 2), (1, 1))
         with pytest.raises(InvalidParameterError):
             GaussianMixturePrior((-0.5, 1.5), (0, 1), (1, 1))
+
+
+class TestLogSumExp:
+    """The numpy helper repeats scipy's arithmetic, so it is bit-identical."""
+
+    @staticmethod
+    def assert_same_bits(a):
+        ref = logsumexp(a, axis=1, keepdims=True)
+        assert np.array_equal(_logsumexp_rows(a), ref, equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1e3])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 7])
+    def test_random_blocks(self, scale, cols):
+        rng = np.random.Generator(np.random.Philox(31))
+        self.assert_same_bits(scale * rng.standard_normal((500, cols)))
+
+    def test_tied_maxima(self):
+        rng = np.random.Generator(np.random.Philox(32))
+        a = rng.standard_normal((300, 4))
+        a[::3, 1] = a[::3, 0] = np.max(a[::3], axis=1)
+        a[1::5] = 0.25
+        self.assert_same_bits(a)
+
+    def test_infinite_and_nan_entries(self):
+        self.assert_same_bits(np.array([[-np.inf, -np.inf], [np.inf, 1.0],
+                                        [np.nan, 1.0], [1e308, 1e308],
+                                        [-np.inf, 0.0]]))
+
+    def test_mixture_denoiser_matches_scipy_logsumexp(self):
+        # the dense-bridge prior: the parent formula with scipy's logsumexp
+        weights, means = np.array([0.9, 0.1]), np.zeros(2)
+        variances = np.array([1e-4, 1.0])
+        gm = GaussianMixturePrior(weights, means, variances)
+        rng = np.random.Generator(np.random.Philox(33))
+        z = rng.standard_normal(4096) * rng.choice([0.01, 1.0], size=4096)
+        for v in (1e-5, 1e-3, 0.1, 2.0):
+            total_var = (variances + v)[np.newaxis, :]
+            log_resp = (np.log(weights) - 0.5 * np.log(total_var)
+                        - 0.5 * (z[:, np.newaxis] - means) ** 2 / total_var)
+            self.assert_same_bits(log_resp)
+            log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
+            comp_mean = means + variances / total_var * (z[:, np.newaxis]
+                                                         - means)
+            ref = np.sum(np.exp(log_resp) * comp_mean, axis=1)
+            assert np.array_equal(gm.denoise(z, None, v), ref)
 
 
 class TestDctSoftThreshold:

@@ -112,6 +112,23 @@ class TestDct:
                            atol=1e-12)
         assert np.allclose(idct(dct_transform(s), norm="ortho"), s, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 205, 1024, 1434, 4096])
+    def test_matches_scipy_on_vectors_and_columns(self, n):
+        rng = np.random.Generator(np.random.Philox(13))
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            fwd = dct_transform(v)
+            inv = dct_transform(v, inverse=True)
+            assert fwd.shape == inv.shape == v.shape
+            assert np.max(np.abs(fwd - dct(v, norm="ortho", axis=0))) < 1e-13
+            assert np.max(np.abs(inv - idct(v, norm="ortho", axis=0))) < 1e-13
+            assert np.max(np.abs(dct_transform(fwd, inverse=True) - v)) < 1e-13
+
+    def test_rejects_empty_or_3d_input(self):
+        with pytest.raises(InvalidDimensionError):
+            dct_transform(np.zeros(0))
+        with pytest.raises(InvalidDimensionError):
+            dct_transform(np.zeros((2, 2, 2)))
+
     def test_energy_preserving(self):
         rng = np.random.Generator(np.random.Philox(12))
         s = rng.standard_normal(128)
