@@ -18,10 +18,11 @@ from .errors import (BridgeError, BridgeProtocolError, BridgeTimeoutError,
 from .rm_operator import (RmOperator, build_rm_operator, dct_transform,
                           rm_forward, rm_inverse)
 from .channel import (BandFactor, ChannelInstance, FadingProfile,
-                      OrthoFactor, build_channel, channel_from_descriptor,
-                      fading_profile, gen_conditioned_channel,
-                      gen_identity_channel, gen_tdl_fading_channel,
-                      rayleigh_fit_statistic, sample_fading_taps, transmit)
+                      OrthoFactor, WyFactor, build_channel,
+                      channel_from_descriptor, fading_profile,
+                      gen_conditioned_channel, gen_identity_channel,
+                      gen_tdl_fading_channel, rayleigh_fit_statistic,
+                      sample_fading_taps, transmit)
 from .sources import (SourceSignal, load_source, save_source_pgm,
                       synthetic_gauss_mixture, synthetic_gaussian,
                       synthetic_piecewise_constant)

@@ -6,10 +6,13 @@ estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis, so
 every receiver iteration is a few factor applies instead of an O(dim^3)
 solve.  The identity and ``fast`` conditioned channels keep their factors as
 :class:`OrthoFactor` operators, which hold O(dim) state and apply in
-O(dim log dim); the Haar channel keeps dense O(dim^2) factors.  The fading
-channel is banded and is stored as its band (:class:`BandFactor`), not as
-SVD factors: O(dim * bandwidth) state, applies by banded BLAS and an LMMSE
-step by banded Cholesky.  Three generators are provided:
+O(dim log dim).  The Haar channel keeps each factor as the Householder
+reflectors of a QR factorization plus their ``nb x dim`` block T factors
+(:class:`WyFactor`): LAPACK ``dgeqrt`` builds them, the orthogonal matrix is
+never formed (no ``orgqr``), and ``dgemqrt`` applies them in O(dim^2).  The
+fading channel is banded and is stored as its band (:class:`BandFactor`),
+not as SVD factors: O(dim * bandwidth) state, applies by banded BLAS and an
+LMMSE step by banded Cholesky.  Three generators are provided:
 
 * identity (pure-compression AWGN baseline),
 * controlled-conditioning with Haar-like factors and a chosen singular
@@ -32,6 +35,7 @@ __all__ = [
     "ChannelInstance",
     "OrthoFactor",
     "BandFactor",
+    "WyFactor",
     "FadingProfile",
     "gen_identity_channel",
     "gen_conditioned_channel",
@@ -163,6 +167,54 @@ class BandFactor:
         return self.T @ cho_solve_banded((factor, True), r)
 
 
+@dataclass(frozen=True, eq=False)
+class WyFactor:
+    """Orthogonal ``dim x dim`` matrix ``Q D`` kept in compact-WY form.
+
+    ``Q = H_1 H_2 ... H_dim`` is the product of the Householder reflectors
+    that LAPACK ``dgeqrt`` stores below the diagonal of ``v``; ``t`` holds
+    their ``nb x dim`` upper-triangular block factors (Schreiber & Van Loan,
+    1989) and ``D = diag(signs)``.  ``@`` applies ``Q D`` (or ``D Q^T``
+    through ``.T``) by ``dgemqrt`` to a vector or along axis 0 of a matrix,
+    and ``np.asarray(factor)`` is the dense matrix.  ``scipy.linalg`` is
+    imported on first use.
+    """
+
+    v: np.ndarray
+    t: np.ndarray
+    signs: np.ndarray
+    transposed: bool = False
+
+    @property
+    def shape(self):
+        return self.v.shape
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        from scipy.linalg.lapack import dgemqrt
+
+        x = np.asarray(x, dtype=np.float64)
+        dim = self.signs.size
+        if x.ndim not in (1, 2) or x.shape[0] != dim:
+            raise InvalidDimensionError(
+                f"expected {dim} rows, got shape {x.shape}")
+        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
+        if self.transposed:
+            c = dgemqrt(self.v, self.t, x.reshape(dim, -1), trans="T")[0]
+            return c.reshape(x.shape) * signs
+        c = dgemqrt(self.v, self.t, (x * signs).reshape(dim, -1),
+                    overwrite_c=True)[0]
+        return c.reshape(x.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        # the dense matrix: desk-scale dims only
+        dense = self @ np.eye(self.signs.size)
+        return dense if dtype is None else dense.astype(dtype)
+
+
 def _gram_band(ab, kl, ku):
     """Lower band of ``H H^T`` from the general-band storage of ``H``."""
     width, dim = ab.shape
@@ -183,13 +235,14 @@ class ChannelInstance:
 
     ``u`` is (m_rows, k), ``s`` is a nonincreasing length-k spectrum, ``vt``
     is (k, n_cols); ``sigma2`` is the AWGN variance.  ``u`` and ``vt`` are
-    dense arrays or :class:`OrthoFactor` operators; both support ``@``,
-    ``.T`` and ``.shape``.  A banded channel (tdl-fading) is not stored by
-    SVD factors: ``u`` is then a :class:`BandFactor` holding ``A`` itself,
-    ``vt`` is None and ``s`` is still its singular spectrum.  Instances are
-    immutable, factor arrays included (:func:`build_channel` shares them
-    between instances and makes them read-only), and safe for concurrent
-    use.
+    dense arrays, :class:`OrthoFactor` operators (identity and ``fast``
+    channels) or :class:`WyFactor` reflectors (Haar channels); all support
+    ``@``, ``.T`` and ``.shape``.  A banded channel (tdl-fading) is not
+    stored by SVD factors: ``u`` is then a :class:`BandFactor` holding ``A``
+    itself, ``vt`` is None and ``s`` is still its singular spectrum.
+    Instances are immutable, factor arrays included (:func:`build_channel`
+    shares them between instances and makes them read-only), and safe for
+    concurrent use.
     """
 
     u: np.ndarray
@@ -302,10 +355,19 @@ def gen_identity_channel(dim, sigma2):
                            meta={"type": "identity", "dim": int(dim)})
 
 
+# dgeqrt block size: the rows of WyFactor.t
+_WY_BLOCK = 32
+
+
 def _haar_orthogonal(dim, rng):
-    # QR of a Gaussian matrix with the R-diagonal sign fix gives Haar measure
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))[np.newaxis, :]
+    # QR of a Gaussian matrix with the R-diagonal sign fix gives Haar measure;
+    # the reflectors stay in compact-WY form, so Q is never formed
+    from scipy.linalg.lapack import dgeqrt
+
+    a = np.asfortranarray(rng.standard_normal((dim, dim)))
+    v, t, _ = dgeqrt(min(_WY_BLOCK, dim), a, overwrite_a=True)
+    # an exactly-zero R diagonal takes +1: np.sign would zero a column
+    return WyFactor(v=v, t=t, signs=np.where(np.diag(v) < 0, -1.0, 1.0))
 
 
 def _fast_orthogonal(dim, rng):
@@ -336,7 +398,8 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     The singular spectrum spans ``[s_max, s_max/kappa]`` with the requested
     shape (``linear`` or ``geometric``) and is normalized to unit average
     power.  ``factor_method`` selects how the orthogonal factors are drawn:
-    ``"haar"`` (QR of seeded Gaussian matrices, the default) or ``"fast"``
+    ``"haar"`` (QR of seeded Gaussian matrices kept as :class:`WyFactor`
+    reflectors: O(dim^2) state and per apply, the default) or ``"fast"``
     (seeded sign/DCT/permutation scrambling kept as :class:`OrthoFactor`
     operators: O(dim) state, O(dim log dim) per apply).
     """
@@ -467,6 +530,8 @@ def _freeze(ch):
             arrays = (factor.signs, factor.perm)
         elif isinstance(factor, BandFactor):
             arrays = (factor.ab, factor.gram)
+        elif isinstance(factor, WyFactor):
+            arrays = (factor.v, factor.t, factor.signs)
         else:
             arrays = (factor,)
         for array in arrays:

@@ -168,14 +168,15 @@ def init_state(y, n=None):
     return GaussMessage(mean=np.zeros(size), variance=variance, domain="x")
 
 
-def lmmse_estimate(ch, prior, y):
+def lmmse_estimate(ch, prior, y, r=None):
     """Gaussian posterior of the channel input given y and a Gaussian prior.
 
     mean = x_pri + v A^T (sigma^2 I + v A A^T)^{-1} (y - A x_pri), where
-    ``ch.gain(v, r)`` applies A^T (sigma^2 I + v A A^T)^{-1} to the residual
-    r.  The scalar variance is tr(V_post) / m, taken over the singular
-    spectrum ``ch.s``; directions outside the row space keep the prior
-    variance v.
+    ``ch.gain(v, r)`` applies A^T (sigma^2 I + v A A^T)^{-1} to the misfit
+    r = y - A x_pri.  A caller that already holds that misfit passes it as
+    ``r``, saving a channel apply; by default it is computed.  The scalar
+    variance is tr(V_post) / m, taken over the singular spectrum ``ch.s``;
+    directions outside the row space keep the prior variance v.
     """
     y = np.asarray(y, dtype=np.float64)
     v = prior.variance
@@ -189,7 +190,8 @@ def lmmse_estimate(ch, prior, y):
             f"shape mismatch: y has {y.size}, prior has {prior.n}, "
             f"channel is {ch.m_rows}x{ch.n_cols}")
 
-    r = y - ch.apply(prior.mean)
+    if r is None:
+        r = y - ch.apply(prior.mean)
     mean = prior.mean + v * ch.gain(v, r)
 
     s = ch.s
@@ -220,9 +222,11 @@ def orthogonalize(post, prior):
 
 @dataclass(frozen=True)
 class CorrectedMessage(GaussMessage):
-    """A corrected pseudo-prior; ``residual`` is ||A mean - y||^2."""
+    """A corrected pseudo-prior; ``misfit`` is y - A mean and ``residual``
+    its squared norm."""
 
     residual: float = float("nan")
+    misfit: np.ndarray = None
 
 
 def mmse_correction(x_tilde, x_orth, ch, y):
@@ -241,12 +245,13 @@ def mmse_correction(x_tilde, x_orth, ch, y):
 
 
 def _residual_message(ch, mean, y):
-    # the one channel apply of a correction; the loop's trace reuses it
-    resid = ch.apply(mean) - y
-    residual = float(np.dot(resid, resid))
+    # the one channel apply of an iteration: the trace and the next LMMSE
+    # step reuse the misfit
+    misfit = y - ch.apply(mean)
+    residual = float(np.dot(misfit, misfit))
     return CorrectedMessage(mean=mean,
                             variance=max(residual / ch.m_rows, VARIANCE_FLOOR),
-                            domain="x", residual=residual)
+                            domain="x", residual=residual, misfit=misfit)
 
 
 def check_convergence(prev_mean, new_mean, tolerance):
@@ -280,6 +285,8 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
             f"channel expects {ch.n_cols} inputs, operator outputs {op.m}")
     trace = IterationTrace()
     state = init_state(y, n=ch.n_cols)
+    # y - A mean of the current state; the cold-start mean is zero
+    misfit = y
     truth_values = truth.values if truth is not None else None
 
     for it in range(1, cfg.max_iters + 1):
@@ -288,7 +295,7 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
             # residual already at the floor: nothing left to gain
             break
         try:
-            post = lmmse_estimate(ch, state, y)
+            post = lmmse_estimate(ch, state, y, r=misfit)
             orth = orthogonalize(post, state)
         except RmOampError as exc:
             trace.error = f"iteration {it}: {exc}"
@@ -330,7 +337,7 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
 
         converged = check_convergence(state.mean, new_state.mean,
                                       cfg.tolerance)
-        state = new_state
+        state, misfit = new_state, new_state.misfit
         if converged:
             break
 
@@ -348,7 +355,8 @@ def lmmse_baseline(y, ch, op, cfg=None, truth=None):
     """
     y = np.asarray(y, dtype=np.float64)
     state = init_state(y, n=ch.n_cols)
-    post = lmmse_estimate(ch, state, y)
+    # the cold-start mean is zero, so the misfit is y itself
+    post = lmmse_estimate(ch, state, y, r=y)
     s_hat = rm_inverse(op, post.mean)
     shape = truth.shape if truth is not None else None
     return SourceSignal(values=s_hat, shape=shape), post

@@ -13,7 +13,7 @@ from scipy.special import j0
 import rmoamp as rm
 from rmoamp import InvalidParameterError
 from rmoamp import channel as channel_mod
-from rmoamp.channel import _fast_orthogonal
+from rmoamp.channel import _fast_orthogonal, _haar_orthogonal
 
 
 class TestIdentityChannel:
@@ -146,6 +146,66 @@ class TestFastFactor:
             tracemalloc.stop()
         assert back.shape == (m,) and np.all(np.isfinite(back))
         assert peak < 64 * 2 ** 20
+
+
+def haar_oracle(dim, seed):
+    """numpy's dense Q of the same Gaussian draws, with the sign fix."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+class TestHaarFactor:
+    @pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 205])
+    def test_matches_numpy_qr(self, dim):
+        factor = _haar_orthogonal(dim,
+                                  np.random.Generator(np.random.Philox(41)))
+        dense = haar_oracle(dim, seed=41)
+        assert isinstance(factor, rm.WyFactor)
+        assert factor.shape == (dim, dim)
+        assert np.max(np.abs(np.asarray(factor) - dense)) < 1e-13
+        rng = np.random.Generator(np.random.Philox(42))
+        for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            kept = x.copy()
+            assert np.max(np.abs(factor @ x - dense @ x)) < 1e-13
+            assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-13
+            assert np.array_equal(x, kept)
+
+    def test_rejects_wrong_shape(self):
+        factor = _haar_orthogonal(8, np.random.Generator(np.random.Philox(43)))
+        for bad in (np.ones(7), np.ones((7, 2)), np.ones((8, 2, 2))):
+            with pytest.raises(rm.InvalidDimensionError):
+                factor @ bad
+            with pytest.raises(rm.InvalidDimensionError):
+                factor.T @ bad
+
+    def test_zero_diagonal_keeps_the_factor_orthogonal(self):
+        # a zero first column leaves R[0, 0] exactly zero; its sign must
+        # not zero a column of the factor
+        class ZeroColumn:
+            def standard_normal(self, size):
+                rng = np.random.Generator(np.random.Philox(44))
+                g = rng.standard_normal(size)
+                g[:, 0] = 0.0
+                return g
+
+        q = np.asarray(_haar_orthogonal(6, ZeroColumn()))
+        assert np.max(np.abs(q.T @ q - np.eye(6))) < 1e-13
+
+    def test_large_channel_holds_reflector_state(self):
+        # a dense Q formed by np.linalg.qr peaked at about 80 MiB here
+        dim = 1434
+        tracemalloc.start()
+        try:
+            ch = rm.gen_conditioned_channel(dim, 10.0, "geometric", 0.01,
+                                            seed=45)
+            y = rm.transmit(ch, np.ones(dim), noise_seed=46)
+            back = ch.gain(0.5, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.shape == (dim,) and np.all(np.isfinite(back))
+        assert peak < 56 * 2 ** 20
 
 
 def random_profile(num_taps, num_symbols, seed):
@@ -417,6 +477,10 @@ class TestBuildSlot:
                 ch.u.ab[0, 0] = 1.0
             with pytest.raises(ValueError):
                 ch.u.gram[0, 0] = 1.0
+        elif isinstance(ch.u, rm.WyFactor):
+            for factor in (ch.u, ch.vt):
+                for array in (factor.v, factor.t, factor.signs):
+                    assert not array.flags.writeable
         else:
             for array in (ch.u.signs, ch.u.perm, ch.vt.signs, ch.vt.perm):
                 assert array is None or not array.flags.writeable

@@ -137,8 +137,9 @@ def scipy_modules_after(code):
 def test_import_leaves_scipy_signal_and_stats_unloaded():
     # every bridge child imports rmoamp, so its start pays for what this
     # loads: no scipy module at all.  A fading channel brings in
-    # scipy.linalg and scipy.special on its first build, ssim scipy.signal on
-    # its first windowed call, rayleigh_fit_statistic scipy.stats
+    # scipy.linalg and scipy.special on its first build, a haar channel
+    # scipy.linalg, ssim scipy.signal on its first windowed call,
+    # rayleigh_fit_statistic scipy.stats
     assert scipy_modules_after("import rmoamp") == "[]"
 
 
@@ -167,3 +168,27 @@ ch.gain(0.5, ch.apply(x))
 ch.apply_t(x)
 """
     assert scipy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize("method", ["haar", "fast"])
+def test_only_a_haar_build_loads_scipy_linalg(method):
+    # import rmoamp loads no scipy; a haar build brings in scipy.linalg for
+    # its QR, and a receiver run that only meets fast channels loads none
+    code = f"""
+import sys
+import rmoamp as rm
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']
+src = rm.synthetic_gauss_mixture(128, 5, (0.9, 0.1), (0.0, 0.0), (0.01, 1.0))
+op = rm.build_rm_operator(128, 64, seed=1)
+ch = rm.build_channel({{"kind": "conditioned", "factor_method": {method!r}}},
+                      64, 0.01, 2)
+y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=3)
+prior = rm.GaussianMixturePrior((0.9, 0.1), (0.0, 0.0), (1e-4, 1.0))
+rm.run_receiver(y, ch, op, prior, rm.ReceiverConfig(max_iters=3), truth=src)
+rm.lmmse_baseline(y, ch, op, truth=src)
+"""
+    loaded = scipy_modules_after(code)
+    if method == "haar":
+        assert "'scipy.linalg'" in loaded
+    else:
+        assert loaded == "[]"
