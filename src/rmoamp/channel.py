@@ -6,13 +6,15 @@ estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis, so
 every receiver iteration is a few factor applies instead of an O(dim^3)
 solve.  The identity and ``fast`` conditioned channels keep their factors as
 :class:`OrthoFactor` operators, which hold O(dim) state and apply in
-O(dim log dim).  The Haar channel keeps each factor as the Householder
-reflectors of a QR factorization plus their ``nb x dim`` block T factors
-(:class:`WyFactor`): LAPACK ``dgeqrt`` builds them, the orthogonal matrix is
-never formed (no ``orgqr``), and ``dgemqrt`` applies them in O(dim^2).  The
-fading channel is banded and is stored as its band (:class:`BandFactor`),
-not as SVD factors: O(dim * bandwidth) state, applies by banded BLAS and an
-LMMSE step by banded Cholesky.  Three generators are provided:
+O(dim log dim).  The Haar channel keeps each factor as Householder
+reflectors plus their ``nb x dim`` block T factors (:class:`WyFactor`):
+the reflectors are drawn straight from Gaussian vectors (Stewart's
+construction, O(dim^2) per factor, no QR of a dense draw), the orthogonal
+matrix is never formed, and LAPACK ``dgemqrt`` applies them in O(dim^2).
+The fading channel is banded and is stored as its band
+(:class:`BandFactor`), not as SVD factors: O(dim * bandwidth) state,
+applies by banded BLAS and an LMMSE step by banded Cholesky.  Three
+generators are provided:
 
 * identity (pure-compression AWGN baseline),
 * controlled-conditioning with Haar-like factors and a chosen singular
@@ -172,12 +174,12 @@ class WyFactor:
     """Orthogonal ``dim x dim`` matrix ``Q D`` kept in compact-WY form.
 
     ``Q = H_1 H_2 ... H_dim`` is the product of the Householder reflectors
-    that LAPACK ``dgeqrt`` stores below the diagonal of ``v``; ``t`` holds
-    their ``nb x dim`` upper-triangular block factors (Schreiber & Van Loan,
-    1989) and ``D = diag(signs)``.  ``@`` applies ``Q D`` (or ``D Q^T``
-    through ``.T``) by ``dgemqrt`` to a vector or along axis 0 of a matrix,
-    and ``np.asarray(factor)`` is the dense matrix.  ``scipy.linalg`` is
-    imported on first use.
+    stored below the diagonal of ``v`` in LAPACK ``dgeqrt``'s layout (unit
+    diagonal implied); ``t`` holds their ``nb x dim`` upper-triangular block
+    factors (Schreiber & Van Loan, 1989) and ``D = diag(signs)``.  ``@``
+    applies ``Q D`` (or ``D Q^T`` through ``.T``) by ``dgemqrt`` to a vector
+    or along axis 0 of a matrix, and ``np.asarray(factor)`` is the dense
+    matrix.  ``scipy.linalg`` is imported on first use.
     """
 
     v: np.ndarray
@@ -355,26 +357,81 @@ def gen_identity_channel(dim, sigma2):
                            meta={"type": "identity", "dim": int(dim)})
 
 
-# dgeqrt block size: the rows of WyFactor.t
+# compact-WY block size: the rows of WyFactor.t
 _WY_BLOCK = 32
 
 
 def _haar_orthogonal(dim, rng):
-    # QR of a Gaussian matrix with the R-diagonal sign fix gives Haar measure;
-    # the reflectors stay in compact-WY form, so Q is never formed
-    from scipy.linalg.lapack import dgeqrt
+    """Haar-distributed orthogonal factor as compact-WY reflectors.
 
-    a = np.asfortranarray(rng.standard_normal((dim, dim)))
-    v, t, _ = dgeqrt(min(_WY_BLOCK, dim), a, overwrite_a=True)
-    # an exactly-zero R diagonal takes +1: np.sign would zero a column
-    return WyFactor(v=v, t=t, signs=np.where(np.diag(v) < 0, -1.0, 1.0))
+    Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Householder QR
+    of a Gaussian matrix meets, at step k, a column that is again iid
+    N(0, I) of length ``dim - k`` and independent of the earlier reflectors,
+    so each reflector is built straight from a fresh Gaussian vector and no
+    trailing update is run.  The sign fix ``D = sign(diag R)`` (Mezzadri,
+    2007) makes ``Q D`` exactly Haar.
+
+    Draw layout (the map from seed to factor): one
+    ``rng.standard_normal(dim * (dim + 1) // 2)`` call; column k of ``v``
+    takes the next ``dim - k`` values, ``x``.  The reflector follows LAPACK
+    ``dlarfg``: ``beta = -sign(x[0]) ||x||``, ``tau = (beta - x[0]) / beta``
+    and the stored vector is ``x[1:] / (x[0] - beta)``; when ``x[1:]`` is
+    zero, ``tau = 0`` and ``beta = x[0]``.  ``signs`` is -1 where
+    ``beta < 0`` and +1 elsewhere.  ``v`` holds ``beta`` on its diagonal and
+    ``t`` the ``dlarft`` block factors, both Fortran-ordered as ``dgeqrt``
+    would return them, so ``dgemqrt`` applies them without a copy.
+    """
+    # column k of v from its diagonal down: the lower triangle of v in
+    # Fortran order is the upper triangle of v.T in C order
+    v = np.zeros((dim, dim), order="F")
+    v.T[~np.tri(dim, k=-1, dtype=bool)] = rng.standard_normal(
+        dim * (dim + 1) // 2)
+    diag = v.T.reshape(-1)[::dim + 1]
+    alpha = diag.copy()
+    diag[:] = 0.0
+    xnorm = np.sqrt(np.einsum("ij,ij->j", v, v))
+    reflect = xnorm > 0.0
+    beta = np.where(reflect, -np.copysign(np.hypot(alpha, xnorm), alpha),
+                    alpha)
+    tau = np.divide(beta - alpha, beta, out=np.zeros(dim), where=reflect)
+    v *= np.divide(1.0, alpha - beta, out=np.zeros(dim), where=reflect)
+    # the T factors need the unit diagonal; dgeqrt's layout keeps beta there
+    diag[:] = 1.0
+    t = _block_t(v, tau, min(_WY_BLOCK, dim))
+    diag[:] = beta
+    # an exactly-zero beta takes +1: np.sign would zero a column
+    return WyFactor(v=v, t=t, signs=np.where(beta < 0, -1.0, 1.0))
+
+
+def _block_t(v, tau, nb):
+    """``dlarft``'s forward columnwise T factors of unit-lower ``v``.
+
+    Block b (columns ``b nb`` on) gets ``S = V_b^T V_b``; the recurrence
+    ``T[:i, i] = -tau_i T[:i, :i] S[:i, i]`` then runs over the ``nb``
+    columns for all blocks at once.  Returns the ``nb x dim`` Fortran array
+    that ``dgeqrt`` returns.
+    """
+    dim = v.shape[0]
+    blocks = -(-dim // nb)
+    gram = np.zeros((blocks, nb, nb))
+    for b in range(blocks):
+        vb = v[b * nb:, b * nb:(b + 1) * nb]
+        gram[b, :vb.shape[1], :vb.shape[1]] = vb.T @ vb
+    taus = np.pad(tau, (0, blocks * nb - dim)).reshape(blocks, nb)
+    t = np.zeros((blocks, nb, nb))
+    for i in range(nb):
+        t[:, :i, i] = -taus[:, i, None] * np.matmul(
+            t[:, :i, :i], gram[:, :i, i, None])[..., 0]
+        t[:, i, i] = taus[:, i]
+    return np.asfortranarray(
+        t.transpose(1, 0, 2).reshape(nb, blocks * nb)[:, :dim])
 
 
 def _fast_orthogonal(dim, rng):
     # Structured pseudo-random orthogonal factor: sign flips, orthonormal DCT,
-    # row permutation.  O(dim) state and O(dim log dim) per apply vs O(dim^3)
-    # for QR; not Haar, but mixes globally, which is what the receiver
-    # algebra relies on.
+    # row permutation.  O(dim) state and O(dim log dim) per apply vs O(dim^2)
+    # for Haar reflectors; not Haar, but mixes globally, which is what the
+    # receiver algebra relies on.
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     perm = rng.permutation(dim)
     return OrthoFactor(dim, signs=signs, perm=perm)
@@ -398,8 +455,9 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     The singular spectrum spans ``[s_max, s_max/kappa]`` with the requested
     shape (``linear`` or ``geometric``) and is normalized to unit average
     power.  ``factor_method`` selects how the orthogonal factors are drawn:
-    ``"haar"`` (QR of seeded Gaussian matrices kept as :class:`WyFactor`
-    reflectors: O(dim^2) state and per apply, the default) or ``"fast"``
+    ``"haar"`` (Haar factors drawn as seeded Householder reflectors, see
+    :func:`_haar_orthogonal`, kept as :class:`WyFactor`: O(dim^2) to build,
+    to store and per apply, the default) or ``"fast"``
     (seeded sign/DCT/permutation scrambling kept as :class:`OrthoFactor`
     operators: O(dim) state, O(dim log dim) per apply).
     """

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,15 +150,57 @@ class TestFastFactor:
 
 
 def haar_oracle(dim, seed):
-    """numpy's dense Q of the same Gaussian draws, with the sign fix."""
+    """Dense product of explicit Householder matrices, with the sign fix.
+
+    Reflector k maps the next ``dim - k`` values of one seeded triangular
+    draw, ``x``, to ``beta e_1`` with ``beta = -sign(x[0]) ||x||`` (or
+    ``x[0]`` and the identity when ``x[1:]`` is zero), as
+    ``I - 2 w w^T / (w^T w)`` with ``w = x - beta e_1``.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    draw = rng.standard_normal(dim * (dim + 1) // 2)
+    q = np.eye(dim)
+    signs = np.ones(dim)
+    start = 0
+    for k in range(dim):
+        x = draw[start:start + dim - k]
+        start += dim - k
+        w = np.zeros(dim)
+        w[k:] = x
+        if np.any(x[1:]):
+            beta = -np.copysign(np.linalg.norm(x), x[0])
+            w[k] -= beta
+            q = q @ (np.eye(dim) - 2.0 * np.outer(w, w) / (w @ w))
+        else:
+            beta = x[0]
+        signs[k] = -1.0 if beta < 0 else 1.0
+    return q * signs
+
+
+def law_misses(factors):
+    """The dim-3 Haar moments that ``factors`` miss by over 4 standard errors.
+
+    Under Haar measure on O(3), ``E Q[0, 0] = E tr Q = 0``,
+    ``E (tr Q)^2 = 1`` and every ``E Q[i, j]^2 = 1/3``.
+    """
+    qs = np.array([np.asarray(f) for f in factors])
+    trace = np.trace(qs, axis1=1, axis2=2)
+    samples = {"Q[0,0]": (qs[:, 0, 0], 0.0), "tr Q": (trace, 0.0),
+               "(tr Q)^2": (trace ** 2, 1.0)}
+    for i in range(3):
+        for j in range(3):
+            samples[f"Q[{i},{j}]^2"] = (qs[:, i, j] ** 2, 1.0 / 3.0)
+    misses = {}
+    for name, (x, expected) in samples.items():
+        error = np.std(x, ddof=1) / np.sqrt(x.size)
+        if abs(np.mean(x) - expected) > 4.0 * error:
+            misses[name] = (np.mean(x), error)
+    return misses
 
 
 class TestHaarFactor:
     @pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 205])
-    def test_matches_numpy_qr(self, dim):
+    def test_matches_householder_product(self, dim):
         factor = _haar_orthogonal(dim,
                                   np.random.Generator(np.random.Philox(41)))
         dense = haar_oracle(dim, seed=41)
@@ -171,6 +214,32 @@ class TestHaarFactor:
             assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-13
             assert np.array_equal(x, kept)
 
+    def test_draws_follow_the_haar_law(self):
+        rng = np.random.Generator(np.random.Philox(47))
+        factors = [_haar_orthogonal(3, rng) for _ in range(4000)]
+        assert law_misses(factors) == {}
+        # the moments catch a factor that skips the sign fix
+        unsigned = [replace(f, signs=np.ones(3)) for f in factors]
+        assert {"Q[0,0]", "(tr Q)^2"} <= law_misses(unsigned).keys()
+
+    @pytest.mark.parametrize("dim", [1, 33, 205])
+    def test_one_triangular_draw_and_fortran_layout(self, dim):
+        # dgemqrt copies a C-ordered v on every apply; the draw layout is
+        # the map from seed to channel
+        class Counting:
+            def __init__(self):
+                self.rng = np.random.Generator(np.random.Philox(48))
+                self.sizes = []
+
+            def standard_normal(self, size):
+                self.sizes.append(size)
+                return self.rng.standard_normal(size)
+
+        rng = Counting()
+        factor = _haar_orthogonal(dim, rng)
+        assert rng.sizes == [dim * (dim + 1) // 2]
+        assert factor.v.flags.f_contiguous and factor.t.flags.f_contiguous
+
     def test_rejects_wrong_shape(self):
         factor = _haar_orthogonal(8, np.random.Generator(np.random.Philox(43)))
         for bad in (np.ones(7), np.ones((7, 2)), np.ones((8, 2, 2))):
@@ -180,16 +249,18 @@ class TestHaarFactor:
                 factor.T @ bad
 
     def test_zero_diagonal_keeps_the_factor_orthogonal(self):
-        # a zero first column leaves R[0, 0] exactly zero; its sign must
-        # not zero a column of the factor
+        # a zero first reflector vector leaves R[0, 0] exactly zero; its
+        # sign must not zero a column of the factor
         class ZeroColumn:
             def standard_normal(self, size):
                 rng = np.random.Generator(np.random.Philox(44))
                 g = rng.standard_normal(size)
-                g[:, 0] = 0.0
+                g[:6] = 0.0
                 return g
 
-        q = np.asarray(_haar_orthogonal(6, ZeroColumn()))
+        factor = _haar_orthogonal(6, ZeroColumn())
+        q = np.asarray(factor)
+        assert factor.signs[0] == 1.0
         assert np.max(np.abs(q.T @ q - np.eye(6))) < 1e-13
 
     def test_large_channel_holds_reflector_state(self):

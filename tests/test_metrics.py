@@ -138,8 +138,8 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     # every bridge child imports rmoamp, so its start pays for what this
     # loads: no scipy module at all.  A fading channel brings in
     # scipy.linalg and scipy.special on its first build, a haar channel
-    # scipy.linalg, ssim scipy.signal on its first windowed call,
-    # rayleigh_fit_statistic scipy.stats
+    # scipy.linalg on its first apply, ssim scipy.signal on its first
+    # windowed call, rayleigh_fit_statistic scipy.stats
     assert scipy_modules_after("import rmoamp") == "[]"
 
 
@@ -172,8 +172,9 @@ ch.apply_t(x)
 
 @pytest.mark.parametrize("method", ["haar", "fast"])
 def test_only_a_haar_build_loads_scipy_linalg(method):
-    # import rmoamp loads no scipy; a haar build brings in scipy.linalg for
-    # its QR, and a receiver run that only meets fast channels loads none
+    # import rmoamp loads no scipy; a haar channel brings in scipy.linalg
+    # for dgemqrt, and a receiver run that only meets fast channels loads
+    # none
     code = f"""
 import sys
 import rmoamp as rm
