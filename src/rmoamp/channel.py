@@ -282,6 +282,24 @@ class ChannelInstance:
             return self.u.T @ y
         return self.vt.T @ (self.s * (self.u.T @ y))
 
+    def in_left_basis(self, y):
+        """``(channel, U^T y)`` with ``u`` replaced by the identity.
+
+        The same link seen in U's basis: an orthogonal U keeps the misfit
+        norm, ``||y||^2 / m`` and the LMMSE gain as they are, while every
+        later ``apply`` and ``gain`` skips U.  A band, or a non-square ``u``
+        (whose U^T would drop the part of y outside its column space), is
+        returned unrotated with y.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (self.m_rows,):
+            raise InvalidDimensionError(
+                f"expected length-{self.m_rows} observation, got shape "
+                f"{y.shape}")
+        if self.vt is None or self.u.shape[0] != self.u.shape[1]:
+            return self, y
+        return replace(self, u=OrthoFactor(self.m_rows)), self.u.T @ y
+
     def gain(self, v, r):
         """``A^T (sigma2 I + v A A^T)^{-1} r``, the LMMSE step's lift of r.
 

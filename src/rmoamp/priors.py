@@ -32,26 +32,31 @@ _VAR_TINY = 1e-30
 
 
 def _logsumexp_rows(a):
-    """``log(sum(exp(a), axis=1))`` for a 2-D array, kept as a column.
+    """``log(sum(exp(a), axis=0))`` for a 2-D array, kept as a row.
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=1, keepdims=True)``,
-    so the two agree to the bit: with ``mx`` the row maximum and ``count``
-    how many entries attain it, the result is ``log1p(rest / count) +
-    log(count) + mx``, where ``rest`` sums ``exp(a - mx)`` over the other
-    entries; a row where that is not finite falls back to
-    ``log(sum(exp(a)))``.
+    Component-major: ``a`` is ``(K, n)``, one row per mixture component, and
+    the reduction runs down the rows.  The arithmetic is that of
+    ``scipy.special.logsumexp(a.T, axis=1, keepdims=True)``: with ``mx`` the
+    column maximum and ``count`` how many entries attain it, the result is
+    ``log1p(rest / count) + log(count) + mx``, where ``rest`` sums
+    ``exp(a - mx)`` over the other entries; a column where that is not
+    finite falls back to ``log(sum(exp(a)))``.  numpy adds the rows of a
+    C-contiguous array one after another, as it adds up to 7 entries of a
+    contiguous row, so for K <= 7 the two agree to the bit; from 8
+    components on scipy's pairwise sum groups the entries differently and
+    the results differ by a few ulp.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mx = np.max(a, axis=1, keepdims=True)
+        mx = np.max(a, axis=0, keepdims=True)
         is_max = a == mx
-        count = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
+        count = np.sum(is_max, axis=0, keepdims=True, dtype=a.dtype)
         rest = np.exp(np.where(is_max, -np.inf, a) - mx)
-        rest = np.sum(rest, axis=1, keepdims=True, dtype=rest.dtype)
+        rest = np.sum(rest, axis=0, keepdims=True, dtype=rest.dtype)
         rest = np.where(rest == 0, rest, rest / count)
         out = np.log1p(rest) + np.log(count) + mx
         finite = np.isfinite(out)
         if not finite.all():
-            naive = np.log(np.sum(np.exp(a), axis=1, keepdims=True))
+            naive = np.log(np.sum(np.exp(a), axis=0, keepdims=True))
             out = np.where(finite, out, naive)
     return out
 
@@ -110,24 +115,31 @@ class GaussianMixturePrior:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.means = np.asarray(means, dtype=np.float64)
         self.variances = np.asarray(variances, dtype=np.float64)
-        if not (self.weights.shape == self.means.shape == self.variances.shape):
-            raise InvalidParameterError("mixture parameter shapes must match")
+        shape = self.weights.shape
+        if (len(shape) != 1 or shape[0] < 1
+                or not shape == self.means.shape == self.variances.shape):
+            raise InvalidParameterError(
+                "mixture parameters must be 1-D vectors of one common "
+                "length >= 1")
         if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0):
             raise InvalidParameterError("mixture weights must be >= 0 and sum to 1")
         if np.any(self.variances < 0):
             raise InvalidParameterError("mixture variances must be >= 0")
 
     def denoise(self, s_in, t_star, v):
-        z = np.asarray(s_in, dtype=np.float64)[:, np.newaxis]
-        total_var = np.maximum(self.variances + v, _VAR_TINY)[np.newaxis, :]
-        log_resp = (np.log(np.maximum(self.weights, _VAR_TINY))
+        # component-major (K, n): numpy reduces down K rows at full speed,
+        # where an axis-1 reduce of (n, K) pays a per-row overhead
+        z = np.asarray(s_in, dtype=np.float64)[np.newaxis, :]
+        means = self.means[:, np.newaxis]
+        total_var = np.maximum(self.variances + v, _VAR_TINY)[:, np.newaxis]
+        log_resp = (np.log(np.maximum(self.weights, _VAR_TINY))[:, np.newaxis]
                     - 0.5 * np.log(total_var)
-                    - 0.5 * (z - self.means) ** 2 / total_var)
+                    - 0.5 * (z - means) ** 2 / total_var)
         log_resp -= _logsumexp_rows(log_resp)
         resp = np.exp(log_resp)
-        gain = self.variances[np.newaxis, :] / total_var
-        comp_mean = self.means + gain * (z - self.means)
-        return np.sum(resp * comp_mean, axis=1)
+        gain = self.variances[:, np.newaxis] / total_var
+        comp_mean = means + gain * (z - means)
+        return np.sum(resp * comp_mean, axis=0)
 
 
 def universal_threshold(v, n):

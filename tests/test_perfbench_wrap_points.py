@@ -96,3 +96,34 @@ def test_sigma_only_repeat_is_one_build_under_the_tracer(monkeypatch):
         fresh.append(sweep([point])[0].splitlines()[1])
     assert text.splitlines()[1:] == fresh
     assert len(draws) == 6
+
+
+def test_rotated_haar_run_still_traces_one_apply_per_iteration():
+    # run_receiver works on a rotated copy of the channel; it must stay a
+    # ChannelInstance, or the tracer's channel.apply spans would vanish
+    cfg = ExperimentConfig(
+        source={"kind": "gaussian", "n": 64, "seed": 9}, beta=0.5,
+        sigma=0.05, max_iters=4, tolerance=1e-12,
+        channel={"kind": "conditioned", "kappa": 10.0,
+                 "factor_method": "haar"})
+    patches = TRACING_MODULE.Patches()
+    tracer = TRACING_MODULE.Tracer(patches)
+    tracer.install()
+    try:
+        report = run_experiment(cfg)
+    finally:
+        patches.restore()
+    assert not tracer.missing
+
+    def inside_loop(span):
+        while span.parent is not None:
+            span = tracer.spans[span.parent]
+            if span.name == "receiver.loop":
+                return True
+        return False
+
+    applies = [s for s in tracer.spans
+               if s.name == "channel.apply" and inside_loop(s)]
+    assert report.trials[0].error == ""
+    assert report.trials[0].iterations == 4
+    assert len(applies) == 4 and all(s.ok for s in applies)

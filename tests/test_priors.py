@@ -7,11 +7,13 @@ from scipy.special import logsumexp
 from rmoamp import (
     AnalyticGaussianPrior,
     DctSoftThresholdPrior,
+    ExperimentConfig,
     GaussianMixturePrior,
     InvalidParameterError,
     NleError,
     dct_transform,
     denoise,
+    run_experiment,
 )
 from rmoamp.priors import _logsumexp_rows, universal_threshold
 
@@ -107,20 +109,52 @@ class TestGaussianMixture:
         with pytest.raises(InvalidParameterError):
             GaussianMixturePrior((-0.5, 1.5), (0, 1), (1, 1))
 
+    @pytest.mark.parametrize("params", [
+        (1.0, 0.0, 1.0),                                   # scalars
+        ([[0.5, 0.5]], [[0.0, 1.0]], [[1.0, 1.0]]),        # 1 x K
+        ((), (), ()),                                      # no component
+    ], ids=["scalar", "row-matrix", "empty"])
+    def test_parameters_must_be_nonempty_vectors(self, params):
+        with pytest.raises(InvalidParameterError):
+            GaussianMixturePrior(*params)
+
+    def test_bad_shape_is_one_error_row_per_trial(self):
+        # a mixture that is not a vector must fail as a parameter error, so
+        # run_experiment records each trial instead of aborting
+        cfg = ExperimentConfig(
+            source={"kind": "gaussian", "n": 16, "seed": 3}, num_trials=2,
+            max_iters=2, prior={"kind": "analytic-gauss-mixture",
+                                "weights": [[0.5, 0.5]], "means": [[0, 1]],
+                                "variances": [[1, 1]]})
+        report = run_experiment(cfg)
+        assert len(report.trials) == 2
+        assert all("1-D vectors" in t.error for t in report.trials)
+
 
 class TestLogSumExp:
-    """The numpy helper repeats scipy's arithmetic, so it is bit-identical."""
+    """The numpy helper repeats scipy's arithmetic on the transposed,
+    component-major layout, so up to 7 components it is bit-identical; from
+    8 components on the sums group differently and agree to a few ulp."""
 
     @staticmethod
     def assert_same_bits(a):
         ref = logsumexp(a, axis=1, keepdims=True)
-        assert np.array_equal(_logsumexp_rows(a), ref, equal_nan=True)
+        got = _logsumexp_rows(np.ascontiguousarray(a.T))
+        assert np.array_equal(got, ref.T, equal_nan=True)
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1e3])
     @pytest.mark.parametrize("cols", [1, 2, 3, 7])
     def test_random_blocks(self, scale, cols):
         rng = np.random.Generator(np.random.Philox(31))
         self.assert_same_bits(scale * rng.standard_normal((500, cols)))
+
+    @pytest.mark.parametrize("cols", [8, 9])
+    def test_many_components_agree_to_a_few_ulp(self, cols):
+        rng = np.random.Generator(np.random.Philox(34))
+        a = 10.0 * rng.standard_normal((500, cols))
+        ref = logsumexp(a, axis=1, keepdims=True)
+        got = _logsumexp_rows(np.ascontiguousarray(a.T))
+        np.testing.assert_array_max_ulp(got, ref.T, maxulp=4)
 
     def test_tied_maxima(self):
         rng = np.random.Generator(np.random.Philox(32))
