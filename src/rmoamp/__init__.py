@@ -15,10 +15,10 @@ from .errors import (BridgeError, BridgeProtocolError, BridgeTimeoutError,
                      InvalidDimensionError, InvalidMessageError,
                      InvalidParameterError, NleError, NoInformationError,
                      RmOampError, SingularSystemError)
-from .rm_operator import (RmOperator, build_rm_operator, dct_transform,
+from .rm_operator import (OrthoFactor, build_rm_operator, dct_transform,
                           rm_forward, rm_inverse)
 from .channel import (BandFactor, ChannelInstance, FadingProfile,
-                      OrthoFactor, WyFactor, build_channel,
+                      WyFactor, build_channel,
                       channel_from_descriptor, fading_profile,
                       gen_conditioned_channel, gen_identity_channel,
                       gen_tdl_fading_channel, rayleigh_fit_statistic,

@@ -5,7 +5,8 @@ channels are stored by their SVD factors ``(U, sigma, V^T)``: the linear
 estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis, so
 every receiver iteration is a few factor applies instead of an O(dim^3)
 solve.  The identity and ``fast`` conditioned channels keep their factors as
-:class:`OrthoFactor` operators, which hold O(dim) state and apply in
+square :class:`~rmoamp.rm_operator.OrthoFactor` operators, the factor class
+of the compression operator, which hold O(dim) state and apply in
 O(dim log dim).  The Haar channel keeps each factor as Householder
 reflectors plus their ``nb x dim`` block T factors (:class:`WyFactor`):
 the reflectors are drawn straight from Gaussian vectors (Stewart's
@@ -30,12 +31,10 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      SingularSystemError)
-from .fileio import write_matrix
-from .rm_operator import dct_transform
+from .rm_operator import OrthoFactor, _draw_scramble
 
 __all__ = [
     "ChannelInstance",
-    "OrthoFactor",
     "BandFactor",
     "WyFactor",
     "FadingProfile",
@@ -49,49 +48,6 @@ __all__ = [
     "build_channel",
     "channel_from_descriptor",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class OrthoFactor:
-    """Orthogonal ``dim x dim`` matrix ``P C S`` kept as O(dim) state.
-
-    ``S = diag(signs)``, ``C`` is the orthonormal DCT-II and ``P`` picks rows,
-    ``(P z)[i] = z[perm[i]]``.  Without ``signs`` and ``perm`` the factor is
-    the identity.  ``@`` applies it to a vector or along axis 0 of a matrix,
-    ``.T`` is the transpose and ``np.asarray(factor)`` the dense matrix.
-    """
-
-    dim: int
-    signs: np.ndarray = None
-    perm: np.ndarray = None
-    transposed: bool = False
-
-    @property
-    def shape(self):
-        return (self.dim, self.dim)
-
-    @property
-    def T(self):
-        return replace(self, transposed=not self.transposed)
-
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise InvalidDimensionError(
-                f"expected {self.dim} rows, got shape {x.shape}")
-        if self.signs is None:
-            return x.copy()
-        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
-        if not self.transposed:
-            return dct_transform(x * signs)[self.perm]
-        z = np.empty_like(x)
-        z[self.perm] = x
-        return dct_transform(z, inverse=True) * signs
-
-    def __array__(self, dtype=None, copy=None):
-        # the dense matrix: desk-scale dims only
-        dense = self @ np.eye(self.dim)
-        return dense if dtype is None else dense.astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,16 +228,6 @@ class ChannelInstance:
             return self.u @ x
         return self.u @ (self.s * (self.vt @ x))
 
-    def apply_t(self, y):
-        """A^T @ y through the singular factors or the band."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.m_rows,):
-            raise InvalidDimensionError(
-                f"expected length-{self.m_rows} input, got shape {y.shape}")
-        if self.vt is None:
-            return self.u.T @ y
-        return self.vt.T @ (self.s * (self.u.T @ y))
-
     def in_left_basis(self, y):
         """``(channel, U^T y)`` with ``u`` replaced by the identity.
 
@@ -325,10 +271,6 @@ class ChannelInstance:
     def condition_number(self):
         smin = self.s[-1]
         return np.inf if smin == 0 else self.s[0] / smin
-
-    def export_dense(self, path):
-        """Write the dense matrix in the raw OAMPMAT1 format."""
-        write_matrix(path, self.dense())
 
     def descriptor(self):
         """JSON-serializable record sufficient to regenerate the channel."""
@@ -447,12 +389,11 @@ def _block_t(v, tau, nb):
 
 def _fast_orthogonal(dim, rng):
     # Structured pseudo-random orthogonal factor: sign flips, orthonormal DCT,
-    # row permutation.  O(dim) state and O(dim log dim) per apply vs O(dim^2)
-    # for Haar reflectors; not Haar, but mixes globally, which is what the
-    # receiver algebra relies on.
-    signs = rng.integers(0, 2, size=dim) * 2 - 1
-    perm = rng.permutation(dim)
-    return OrthoFactor(dim, signs=signs, perm=perm)
+    # row permutation, drawn as the compression operator draws its scramble.
+    # O(dim) state and O(dim log dim) per apply vs O(dim^2) for Haar
+    # reflectors; not Haar, but mixes globally, which is what the receiver
+    # algebra relies on.
+    return OrthoFactor(dim, *_draw_scramble(dim, rng))
 
 
 def _spectrum(dim, kappa, shape):

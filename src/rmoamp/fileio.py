@@ -5,6 +5,7 @@ Matrix format ("OAMPMAT1"): an 8-byte magic, two little-endian uint64 dims
 row-major order.  Big-endian is never used.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -28,15 +29,25 @@ def write_matrix(path, arr):
         fh.write(arr.tobytes())
 
 
+def _require_bytes(fh, nbytes, what):
+    """Raise unless ``fh`` holds ``nbytes`` more bytes; reads nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise InvalidParameterError(
+            f"truncated {what}: header claims {nbytes} bytes, {left} left")
+
+
 def read_matrix(path):
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAT_MAGIC:
-            raise InvalidParameterError(f"bad matrix magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
+        head = fh.read(24)
+        if head[:8] != MAT_MAGIC:
+            raise InvalidParameterError(f"bad matrix magic {head[:8]!r}")
+        if len(head) < 24:
+            raise InvalidParameterError(
+                f"truncated matrix header: {len(head)} of 24 bytes")
+        rows, cols = struct.unpack("<QQ", head[8:])
+        _require_bytes(fh, rows * cols * 8, "matrix payload")
         data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
-            raise InvalidParameterError("truncated matrix payload")
     return data.reshape(rows, cols).copy()
 
 
@@ -60,20 +71,29 @@ def _next_token(fh):
         token += ch
 
 
+def _next_int(fh):
+    token = _next_token(fh)
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidParameterError(
+            f"PGM header token {token!r} is not an integer") from None
+
+
 def read_pgm(path):
     """Parse a binary (P5) 8-bit PGM; returns (uint8 image, maxval)."""
     with open(path, "rb") as fh:
         if _next_token(fh) != b"P5":
             raise InvalidParameterError("not a binary PGM (P5) file")
-        width = int(_next_token(fh))
-        height = int(_next_token(fh))
-        maxval = int(_next_token(fh))
+        width, height, maxval = _next_int(fh), _next_int(fh), _next_int(fh)
+        if width < 1 or height < 1:
+            raise InvalidParameterError(
+                f"PGM size must be positive, got {width} x {height}")
         if not 0 < maxval < 256:
             raise InvalidParameterError(
                 f"only 8-bit PGM supported, got maxval={maxval}")
+        _require_bytes(fh, width * height, "PGM pixel data")
         data = fh.read(width * height)
-    if len(data) != width * height:
-        raise InvalidParameterError("truncated PGM pixel data")
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy(), maxval
 
 

@@ -289,9 +289,10 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
     if cfg is None:
         cfg = ReceiverConfig()
     y = np.asarray(y, dtype=np.float64)
-    if ch.n_cols != op.m:
+    if ch.n_cols != op.shape[0]:
         raise InvalidDimensionError(
-            f"channel expects {ch.n_cols} inputs, operator outputs {op.m}")
+            f"channel expects {ch.n_cols} inputs, operator outputs "
+            f"{op.shape[0]}")
     # one rotation into U's basis: each iteration then applies V^T and V
     # only, and the misfit it carries is U^T (y - A mean)
     ch, y = ch.in_left_basis(y)

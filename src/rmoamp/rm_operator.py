@@ -3,14 +3,18 @@
 The operator chains four stages: a diagonal random sign flip, an orthonormal
 DCT, a random permutation, and a row selection.  The first three stages form
 an orthogonal scrambling transform; the selection keeps ``m`` of the ``n``
-scrambled coefficients, giving compression ratio ``m / n``.  Because the
-scrambling is orthogonal, the zero-filled inverse (scatter the ``m`` received
-coefficients back to their slots, then undo the scrambling) is the
-Moore-Penrose pseudo-inverse of the forward map, and i.i.d. Gaussian noise
-stays i.i.d. Gaussian through it.
+scrambled coefficients, giving compression ratio ``m / n``.  Permutation and
+selection together pick ``m`` rows of the DCT output, so the operator is an
+``m x n`` :class:`OrthoFactor`, the same factor that holds the identity and
+``fast`` channel factors of :mod:`rmoamp.channel`.  ``op @ s`` is the
+forward map and ``op.T @ x`` the zero-filled inverse (scatter the ``m``
+received coefficients back to their slots, then undo the scrambling).
+Because the scrambling is orthogonal, that inverse is the Moore-Penrose
+pseudo-inverse of the forward map, and i.i.d. Gaussian noise stays i.i.d.
+Gaussian through it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +22,7 @@ import numpy as np
 from .errors import InvalidDimensionError
 
 __all__ = [
-    "RmOperator",
+    "OrthoFactor",
     "build_rm_operator",
     "rm_forward",
     "rm_inverse",
@@ -26,49 +30,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RmOperator:
-    """Seeded factorization of the multiplexing-and-compression map.
+@dataclass(frozen=True, eq=False)
+class OrthoFactor:
+    """``m x dim`` matrix ``P C S`` with orthonormal rows, kept as O(dim) state.
 
-    The forward map applied to a length-``n`` vector ``s`` is
-
-        select( permute( dct( signs * s ) ) )
-
-    and is fully determined by ``(n, m, seed)``: the factors are regenerated
-    bit-identically from the seed.  Instances are immutable and safe to share
-    across workers.
-
-    Attributes:
-        n: source dimension.
-        m: compressed dimension, ``1 <= m <= n``.
-        seed: 64-bit seed the factors were drawn from.
-        signs: length-``n`` vector of +-1 (the diagonal sign stage).
-        perm: length-``n`` permutation; stage output ``i`` reads scrambled
-            coefficient ``perm[i]``.
-        selection: strictly increasing length-``m`` index list of the kept
-            coefficients.
+    ``S = diag(signs)``, ``C`` is the orthonormal DCT-II and ``P`` picks
+    ``m = perm.size <= dim`` rows, ``(P z)[i] = z[perm[i]]``; at ``m == dim``
+    the factor is orthogonal.  Without ``signs`` and ``perm`` the factor is
+    the ``dim x dim`` identity.  ``@`` applies it to a vector or along axis 0
+    of a matrix, ``.T`` is the transpose (it scatters into zeros, so a wide
+    factor's transpose is its zero-filled pseudo-inverse) and
+    ``np.asarray(factor)`` the dense matrix.
     """
 
-    n: int
-    m: int
-    seed: int
-    signs: np.ndarray
-    perm: np.ndarray
-    selection: np.ndarray
-    # composite index: position of kept coefficient j in the DCT output
-    _gather: np.ndarray = field(init=False, repr=False)
+    dim: int
+    signs: np.ndarray = None
+    perm: np.ndarray = None
+    transposed: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "_gather", self.perm[self.selection])
+    @property
+    def shape(self):
+        rows = self.dim if self.perm is None else self.perm.size
+        return (self.dim, rows) if self.transposed else (rows, self.dim)
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        cols = self.shape[1]
+        if x.ndim not in (1, 2) or x.shape[0] != cols:
+            raise InvalidDimensionError(
+                f"expected {cols} rows, got shape {x.shape}")
+        if self.signs is None:
+            return x.copy()
+        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
+        if not self.transposed:
+            return dct_transform(x * signs)[self.perm]
+        z = np.zeros((self.dim,) + x.shape[1:])
+        z[self.perm] = x
+        return dct_transform(z, inverse=True) * signs
+
+    def __array__(self, dtype=None, copy=None):
+        # the dense matrix: desk-scale dims only
+        dense = self @ np.eye(self.shape[1])
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def _draw_scramble(dim, rng):
+    """Signs, then a permutation (Fisher-Yates shuffle), of one scramble."""
+    return rng.integers(0, 2, size=dim) * 2 - 1, rng.permutation(dim)
 
 
 def build_rm_operator(n, m, seed):
-    """Draw the operator factors from one seeded counter-based generator.
+    """Draw the ``m x n`` operator from one seeded counter-based generator.
 
     Draw order is fixed and documented: signs first, then the permutation
     (Fisher-Yates shuffle), then the selection (full shuffle truncated to
-    ``m`` entries, sorted).  Philox is counter-based, so identical seeds give
-    bit-identical operators on every platform.
+    ``m`` entries, sorted); the factor keeps ``perm[selection]``.  Philox is
+    counter-based, so identical seeds give bit-identical operators on every
+    platform.
 
     Raises:
         InvalidDimensionError: if not ``1 <= m <= n``.
@@ -76,41 +98,27 @@ def build_rm_operator(n, m, seed):
     if m < 1 or m > n:
         raise InvalidDimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.Generator(np.random.Philox(seed))
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    perm = rng.permutation(n)
+    signs, perm = _draw_scramble(n, rng)
     selection = np.sort(rng.permutation(n)[:m])
-    return RmOperator(n=int(n), m=int(m), seed=int(seed),
-                      signs=signs.astype(np.float64), perm=perm,
-                      selection=selection)
+    return OrthoFactor(int(n), signs=signs, perm=perm[selection])
 
 
 def rm_forward(op, s):
-    """Apply the compression map: signs, DCT, permutation, selection.
+    """Apply the compression map ``op @ s``: signs, DCT, row pick.
 
     O(n log n) via the fast DCT.  Raises InvalidDimensionError on a length
     mismatch.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (op.n,):
-        raise InvalidDimensionError(
-            f"expected length-{op.n} source vector, got shape {s.shape}")
-    u = dct_transform(op.signs * s)
-    return u[op._gather]
+    return op @ s
 
 
 def rm_inverse(op, x):
-    """Apply the zero-filled inverse: scatter, unpermute, inverse DCT, signs.
+    """Apply the zero-filled inverse ``op.T @ x``: scatter, inverse DCT, signs.
 
     For the orthonormal-row forward map this equals the Moore-Penrose
     pseudo-inverse; at ``m == n`` it is the exact inverse.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.m,):
-        raise InvalidDimensionError(
-            f"expected length-{op.m} compressed vector, got shape {x.shape}")
-    u = np.zeros(op.n)
-    u[op._gather] = x
-    return op.signs * dct_transform(u, inverse=True)
+    return op.T @ x
 
 
 @lru_cache(maxsize=8)

@@ -93,10 +93,21 @@ def load_source(spec):
         {"kind": "gauss-mixture", "n", "seed", "weights", "means", "stds"}
         {"kind": "piecewise-constant", "n", "seed", "num_pieces"}
         {"kind": "pgm" | "matrix", "path": ...}
+
+    A spec without one of its kind's keys raises InvalidParameterError
+    naming the key.
     """
     if isinstance(spec, str):
         spec = {"kind": "pgm" if spec.endswith(".pgm") else "matrix",
                 "path": spec}
+    try:
+        return _from_spec(spec)
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"source spec has no {exc.args[0]!r} key") from None
+
+
+def _from_spec(spec):
     kind = spec["kind"]
     if kind == "pgm":
         img, maxval = read_pgm(spec["path"])

@@ -22,7 +22,6 @@ class TestIdentityChannel:
         ch = rm.gen_identity_channel(6, sigma2=0.25)
         x = np.arange(6.0)
         assert np.array_equal(ch.apply(x), x)
-        assert np.array_equal(ch.apply_t(x), x)
         assert ch.sigma2 == 0.25
         assert ch.condition_number() == 1.0
         assert np.array_equal(ch.dense(), np.eye(6))
@@ -62,9 +61,7 @@ class TestConditionedChannel:
         a = ch.dense()
         rng = np.random.Generator(np.random.Philox(6))
         x = rng.standard_normal(17)
-        y = rng.standard_normal(17)
         assert np.allclose(ch.apply(x), a @ x, atol=1e-12)
-        assert np.allclose(ch.apply_t(y), a.T @ y, atol=1e-12)
 
     def test_deterministic_in_seed(self):
         a = rm.gen_conditioned_channel(16, 3.0, "linear", 0.1, seed=7)
@@ -83,36 +80,79 @@ class TestConditionedChannel:
                                        factor_method="butterfly")
 
 
-def drawn_fast_factor(dim, seed):
-    """The fast factor and its dense form, built from the same draws."""
-    factor = _fast_orthogonal(dim, np.random.Generator(np.random.Philox(seed)))
+def drawn_fast_factor(dim, seed, m=None):
+    """The fast factor, or with ``m`` the ``m x dim`` compression operator,
+    and its dense form from the documented draws: Philox signs, then a
+    permutation, then (with ``m``) a sorted selection of m of its rows.
+    """
+    if m is None:
+        factor = _fast_orthogonal(dim,
+                                  np.random.Generator(np.random.Philox(seed)))
+    else:
+        factor = rm.build_rm_operator(dim, m, seed)
     rng = np.random.Generator(np.random.Philox(seed))
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     perm = rng.permutation(dim)
+    if m is not None:
+        perm = perm[np.sort(rng.permutation(dim)[:m])]
     dense = (dct(np.eye(dim), axis=0, norm="ortho") * signs)[perm]
     return factor, dense
 
 
+# (dim, m): square fast factors, then m x dim compression operators
+FACTOR_SIZES = [pytest.param(dim, None, id=str(dim)) for dim in (1, 2, 17, 64)]
+FACTOR_SIZES += [pytest.param(dim, m, id=f"{m}x{dim}")
+                 for dim, m in ((1, 1), (7, 3), (24, 10), (64, 64))]
+
+
 class TestFastFactor:
-    @pytest.mark.parametrize("dim", [1, 2, 17, 64])
-    def test_dense_form_matches_the_draws(self, dim):
-        factor, dense = drawn_fast_factor(dim, seed=21)
-        assert factor.shape == (dim, dim)
+    @pytest.mark.parametrize("dim,m", FACTOR_SIZES)
+    def test_dense_form_matches_the_draws(self, dim, m):
+        factor, dense = drawn_fast_factor(dim, seed=21, m=m)
+        assert factor.shape == dense.shape == (m or dim, dim)
+        assert factor.T.shape == dense.T.shape
         assert np.max(np.abs(np.asarray(factor) - dense)) < 1e-12
         assert np.max(np.abs(np.asarray(factor.T) - dense.T)) < 1e-12
 
-    @pytest.mark.parametrize("dim", [1, 2, 17, 64])
-    def test_apply_matches_dense_form(self, dim):
-        factor, dense = drawn_fast_factor(dim, seed=22)
+    @pytest.mark.parametrize("dim,m", FACTOR_SIZES)
+    def test_apply_matches_dense_form(self, dim, m):
+        factor, dense = drawn_fast_factor(dim, seed=22, m=m)
+        rows = dense.shape[0]
         rng = np.random.Generator(np.random.Philox(23))
         for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
             assert np.max(np.abs(factor @ x - dense @ x)) < 1e-12
+        for x in (rng.standard_normal(rows), rng.standard_normal((rows, 3))):
             assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-12
 
     def test_rejects_wrong_length(self):
-        factor, _ = drawn_fast_factor(8, seed=24)
-        with pytest.raises(rm.InvalidDimensionError):
-            factor @ np.ones(7)
+        for m in (None, 3):
+            factor, _ = drawn_fast_factor(8, seed=24, m=m)
+            rows = factor.shape[0]
+            for bad in (np.ones(7), np.ones((9, 2))):
+                with pytest.raises(rm.InvalidDimensionError):
+                    factor @ bad
+            for bad in (np.ones(rows + 1), np.ones((rows - 1, 2))):
+                with pytest.raises(rm.InvalidDimensionError):
+                    factor.T @ bad
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 3), (24, 10), (64, 64),
+                                     (2048, 205)])
+    def test_rm_maps_equal_gather_and_zero_filled_scatter(self, n, m):
+        # the seed-to-operator map: float signs times s, DCT, then the
+        # entries perm[selection]; the inverse scatters them into zeros
+        rng = np.random.Generator(np.random.Philox(29))
+        signs = (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
+        perm = rng.permutation(n)
+        gather = perm[np.sort(rng.permutation(n)[:m])]
+        op = rm.build_rm_operator(n, m, seed=29)
+        draws = np.random.Generator(np.random.Philox(30))
+        s, x = draws.standard_normal(n), draws.standard_normal(m)
+        assert np.array_equal(rm.rm_forward(op, s),
+                              rm.dct_transform(signs * s)[gather])
+        z = np.zeros(n)
+        z[gather] = x
+        assert np.array_equal(rm.rm_inverse(op, x),
+                              signs * rm.dct_transform(z, inverse=True))
 
     def test_lmmse_matches_dense_factors(self):
         ch = rm.gen_conditioned_channel(64, 10.0, "geometric", 0.01, seed=25,
@@ -141,7 +181,7 @@ class TestFastFactor:
         try:
             ch = build(m)
             y = rm.transmit(ch, np.ones(m), noise_seed=28)
-            back = ch.apply_t(y)
+            back = ch.gain(0.5, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,7 +445,6 @@ class TestTdlFadingChannel:
                 assert np.max(np.abs(ch.gain(v, r) - oracle)) < 1e-10
             x = rng.standard_normal(dim)
             assert np.max(np.abs(ch.apply(x) - h @ x)) < 1e-12
-            assert np.max(np.abs(ch.apply_t(x) - h.T @ x)) < 1e-12
 
     def test_lmmse_matches_svd_channel(self):
         p = random_profile(3, 4, seed=31)
@@ -502,12 +541,6 @@ class TestDescriptors:
         assert profile.num_taps == 3
         assert profile.tap_powers.tolist() == [0.6, 0.3, 0.1]
         assert (profile.doppler_rate, profile.num_symbols) == (0.01, 16)
-
-    def test_export_dense_round_trip(self, tmp_path):
-        ch = rm.gen_conditioned_channel(9, 3.0, "linear", 0.0, seed=13)
-        path = tmp_path / "chan.mat"
-        ch.export_dense(path)
-        assert np.array_equal(rm.read_matrix(path), ch.dense())
 
 
 HAAR = {"kind": "conditioned", "kappa": 4.0, "factor_method": "haar"}

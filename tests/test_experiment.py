@@ -2,6 +2,7 @@
 
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -268,6 +269,52 @@ def bridge_config(**prior):
                       source={"kind": "gaussian", "n": 32, "seed": 9},
                       prior=dict(kind="external-bridge",
                                  **(prior or {"argv": ECHO_ARGV})))
+
+
+# malformed sources: (file name and bytes, or a spec dict; error text)
+BAD_SOURCES = {
+    "cut-mat-header": (("cut.mat", b"OAMPMAT1" + struct.pack("<Q", 4)),
+                       "truncated matrix header"),
+    "huge-mat-header": (("huge.mat", b"OAMPMAT1"
+                         + struct.pack("<QQ", 2 ** 40, 2 ** 40)),
+                        "truncated matrix payload"),
+    "word-in-pgm-header": (("word.pgm", b"P5\n2 two\n255\n\x00\x01"),
+                           "not an integer"),
+    "no-kind": ({"n": 64, "seed": 9}, "'kind'"),
+    "no-n": ({"kind": "gaussian", "seed": 9}, "'n'"),
+}
+
+
+def bad_source(name, tmp_path):
+    source, _ = BAD_SOURCES[name]
+    if isinstance(source, dict):
+        return source
+    filename, data = source
+    (tmp_path / filename).write_bytes(data)
+    return str(tmp_path / filename)
+
+
+class TestBadSource:
+    """A malformed source fails its trials; it does not abort the run."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_SOURCES))
+    def test_one_error_row_per_trial(self, name, tmp_path):
+        report = run_experiment(toy_config(source=bad_source(name, tmp_path),
+                                           num_trials=2))
+        assert [t.trial for t in report.trials] == [0, 1]
+        assert report.num_errors == 2
+        assert all(BAD_SOURCES[name][1] in t.error for t in report.trials)
+
+    @pytest.mark.parametrize("name", sorted(BAD_SOURCES))
+    def test_cli_run_exits_1_without_traceback(self, name, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"source": bad_source(name, tmp_path),
+                                    "num_trials": 2, "max_iters": 2}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmoamp.cli", "run", str(path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture

@@ -50,6 +50,20 @@ class TestMatrixFormat:
         with pytest.raises(InvalidParameterError):
             read_matrix(path)
 
+    def test_rejects_cut_header(self, tmp_path):
+        path = tmp_path / "cut.mat"
+        path.write_bytes(b"OAMPMAT1" + struct.pack("<Q", 2) + b"\x00" * 4)
+        with pytest.raises(InvalidParameterError, match="header"):
+            read_matrix(path)
+
+    def test_rejects_header_claiming_more_than_the_file(self, tmp_path):
+        # 2^40 x 2^40 entries: checked against the file size, not read
+        path = tmp_path / "huge.mat"
+        path.write_bytes(b"OAMPMAT1" + struct.pack("<QQ", 2 ** 40, 2 ** 40)
+                         + b"\x00" * 8)
+        with pytest.raises(InvalidParameterError, match="truncated"):
+            read_matrix(path)
+
     def test_rejects_3d_input(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             write_matrix(tmp_path / "t.mat", np.zeros((2, 2, 2)))
@@ -98,6 +112,17 @@ class TestPgmFormat:
     def test_rejects_truncated_pixels(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
+        with pytest.raises(InvalidParameterError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n2 two\n255\n",
+                                        b"P5\n2 2\n25.5\n",
+                                        b"P5\n-2 -2\n255\n",
+                                        b"P5\n0 2\n255\n",
+                                        b"P5\n1099511627776 1\n255\n"])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + b"\x00\x01\x02\x03")
         with pytest.raises(InvalidParameterError):
             read_pgm(path)
 

@@ -165,7 +165,6 @@ ch = build_channel({{"kind": "conditioned", "kappa": 10.0,
                     "spectrum_shape": "geometric", "factor_method": "fast"}},
                    32, 0.01, 3)
 ch.gain(0.5, ch.apply(x))
-ch.apply_t(x)
 """
     assert scipy_modules_after(code) == "[]"
 

@@ -127,3 +127,30 @@ def test_rotated_haar_run_still_traces_one_apply_per_iteration():
     assert report.trials[0].error == ""
     assert report.trials[0].iterations == 4
     assert len(applies) == 4 and all(s.ok for s in applies)
+
+
+def test_compressed_trial_traces_every_operator_apply():
+    # the receiver must keep applying the operator through rm_forward and
+    # rm_inverse: an inline op @ x would zero rm_operator.apply_calls
+    cfg = ExperimentConfig(
+        source={"kind": "gaussian", "n": 64, "seed": 9}, beta=0.5,
+        sigma=0.05, max_iters=4, tolerance=1e-12,
+        channel={"kind": "conditioned", "kappa": 10.0,
+                 "factor_method": "fast"})
+    patches = TRACING_MODULE.Patches()
+    tracer = TRACING_MODULE.Tracer(patches)
+    tracer.install()
+    try:
+        report = run_experiment(cfg)
+    finally:
+        patches.restore()
+    assert not tracer.missing
+    iterations = report.trials[0].iterations
+    assert report.trials[0].error == "" and iterations == 4
+
+    def count(name):
+        return sum(1 for s in tracer.spans if s.name == name and s.ok)
+
+    assert count("rm_operator.build") == 1
+    # transmit, then s_in, x~ and the PSNR per iteration, then the estimate
+    assert count("rm_operator.apply") == 1 + 3 * iterations + 1

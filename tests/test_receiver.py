@@ -439,7 +439,7 @@ class TestLoopResidual:
         # the LMMSE step takes the last correction's misfit in place of
         # recomputing y - A mean: the run must not change in any bit
         src, op, _, _, gm = compressed_setup()
-        ch = rm.build_channel(spec, op.m, 0.0025, seed=52)
+        ch = rm.build_channel(spec, op.shape[0], 0.0025, seed=52)
         y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=53)
         cfg = ReceiverConfig(max_iters=5, tolerance=1e-12)
         est, trace = run_receiver(y, ch, op, gm, cfg, truth=src)
@@ -458,7 +458,7 @@ class TestLeftBasisRotation:
     @staticmethod
     def inputs(spec):
         src, op, _, _, gm = compressed_setup()
-        ch = rm.build_channel(spec, op.m, 0.0025, seed=52)
+        ch = rm.build_channel(spec, op.shape[0], 0.0025, seed=52)
         y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=53)
         return y, ch, op, gm, ReceiverConfig(max_iters=5, tolerance=1e-12), src
 
@@ -468,16 +468,18 @@ class TestLeftBasisRotation:
     @pytest.mark.parametrize("method", ["haar", "fast"])
     def test_two_factor_applies_per_iteration(self, method, monkeypatch):
         # the identity U left by the rotation is not a factor apply
+        inputs = self.inputs({"kind": "conditioned", "kappa": 10.0,
+                              "factor_method": method})
+        op = inputs[2]
         calls = []
         for cls in (rm.WyFactor, rm.OrthoFactor):
+            # the compression operator is an OrthoFactor too: skip it
             def counting(self, x, matmul=cls.__matmul__):
-                if getattr(self, "signs", None) is not None:
+                if (getattr(self, "signs", None) is not None
+                        and getattr(self, "perm", None) is not op.perm):
                     calls.append(type(self).__name__)
                 return matmul(self, x)
             monkeypatch.setattr(cls, "__matmul__", counting)
-        inputs = self.inputs({"kind": "conditioned", "kappa": 10.0,
-                              "factor_method": method})
-        calls.clear()
         _, trace = run_receiver(*inputs)
         assert trace.error is None and len(trace) == 5
         kind = "WyFactor" if method == "haar" else "OrthoFactor"
