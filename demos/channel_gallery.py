@@ -34,7 +34,9 @@ summarize(gen_conditioned_channel(dim, kappa=10.0,
                                   spectrum_shape="geometric", sigma2=0.01,
                                   seed=7), "conditioned (kappa=10)")
 
-# 3. tapped-delay-line fading: correlated Rayleigh taps, block-circulant
+# 3. tapped-delay-line fading: correlated Rayleigh taps, each block of
+# symbols convolved with its own taps (lower-banded, edge-truncated at the
+# start; not circulant)
 profile = FadingProfile(num_taps=4, tap_powers=(0.4, 0.3, 0.2, 0.1),
                         doppler_rate=0.05, num_symbols=16)
 summarize(gen_tdl_fading_channel(dim, profile, sigma2=0.01, seed=9),

@@ -4,22 +4,23 @@ No channel is stored as a dense matrix.  The identity and conditioned
 channels are stored by their SVD factors ``(U, sigma, V^T)``: the linear
 estimator in :mod:`rmoamp.receiver` diagonalizes in the singular basis, so
 every receiver iteration is a few factor applies instead of an O(dim^3)
-solve.  The identity and ``fast`` conditioned channels keep their factors as
+solve.  A conditioned channel draws only V; its U is the identity, which
+keeps the law of everything the receiver sees (see
+:func:`gen_conditioned_channel`).  The identity and ``fast`` factors are
 square :class:`~rmoamp.rm_operator.OrthoFactor` operators, the factor class
 of the compression operator, which hold O(dim) state and apply in
-O(dim log dim).  The Haar channel keeps each factor as Householder
-reflectors plus their ``nb x dim`` block T factors (:class:`WyFactor`):
-the reflectors are drawn straight from Gaussian vectors (Stewart's
-construction, O(dim^2) per factor, no QR of a dense draw), the orthogonal
-matrix is never formed, and LAPACK ``dgemqrt`` applies them in O(dim^2).
-The fading channel is banded and is stored as its band
-(:class:`BandFactor`), not as SVD factors: O(dim * bandwidth) state,
-applies by banded BLAS and an LMMSE step by banded Cholesky.  Three
-generators are provided:
+O(dim log dim).  A Haar V is kept as Householder reflectors plus their
+``nb x dim`` block T factors (:class:`WyFactor`): the reflectors are drawn
+straight from Gaussian vectors (Stewart's construction, O(dim^2), no QR of
+a dense draw), the orthogonal matrix is never formed, and LAPACK
+``dgemqrt`` applies them in O(dim^2).  The fading channel is banded and is
+stored as the band of its complex matrix (:class:`BandFactor`), not as SVD
+factors: O(dim * num_taps) state, applies by complex banded BLAS and an
+LMMSE step by banded Cholesky.  Three generators are provided:
 
 * identity (pure-compression AWGN baseline),
-* controlled-conditioning with Haar-like factors and a chosen singular
-  spectrum,
+* controlled-conditioning with a Haar-like right factor and a chosen
+  singular spectrum,
 * a simplified time-selective Rayleigh-fading convolution channel (complex
   taps with an AR(1) Doppler correlation, realified into 2x2 rotation blocks).
 """
@@ -52,56 +53,50 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BandFactor:
-    """Square ``dim x dim`` matrix ``H`` kept in LAPACK general-band storage.
+    """Realified ``dim x dim`` matrix of a lower-banded complex matrix ``H``.
 
-    ``ab[ku + i - j, j] = H[i, j]`` holds the ``kl`` sub- and ``ku``
-    super-diagonals (Fortran order, as BLAS ``dgbmv`` takes it).  ``gram``
-    is the lower band of ``H H^T``, bandwidth ``kd = kl + ku``, stored as
-    ``gram[i - j, j] = (H H^T)[i, j]``.  ``@`` applies ``H`` (or ``H^T``
-    through ``.T``) to a vector and ``np.asarray(factor)`` is the dense
-    matrix.  ``scipy.linalg`` is imported on first use.
+    ``H`` is ``dim/2 x dim/2``.  Each complex entry ``a + jb`` is the 2x2
+    block ``[[a, -b], [b, a]]`` on interleaved (re, im) pairs, so the
+    realified matrix applies as ``H`` on ``x.view(np.complex128)`` and its
+    transpose as the conjugate transpose ``H^H``.  ``ab[i - j, j] = H[i, j]``
+    holds the diagonal and ``ab.shape[0] - 1`` sub-diagonals in LAPACK
+    general-band storage (Fortran order, as BLAS ``zgbmv`` takes it).
+    ``gram`` is the lower band of the Hermitian ``H H^H``, stored as
+    ``gram[i - j, j] = (H H^H)[i, j]``.  ``@`` applies the realified matrix
+    (or its transpose through ``.T``) to a vector and ``np.asarray(factor)``
+    is the dense realified matrix.  ``scipy.linalg`` is imported on first
+    use.
     """
 
     ab: np.ndarray
-    kl: int
-    ku: int
     gram: np.ndarray
     transposed: bool = False
 
     @property
     def shape(self):
-        return (self.ab.shape[1],) * 2
+        return (2 * self.ab.shape[1],) * 2
 
     @property
     def T(self):
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x):
-        from scipy.linalg.blas import dgbmv
+        from scipy.linalg.blas import zgbmv
 
-        width, dim = self.ab.shape
-        # the wrapper wants at least kl + ku + 1 rows; a band wider than the
-        # matrix (num_taps = dim / 2) gets zero rows appended
-        rows = max(dim, width)
-        if self.transposed:
-            x = np.concatenate([x, np.zeros(rows - dim)])
-        return dgbmv(rows, dim, self.kl, self.ku, 1.0, self.ab, x,
-                     trans=int(self.transposed))[:dim]
+        width, n_c = self.ab.shape
+        xc = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+        # trans=2: the conjugate transpose
+        return zgbmv(n_c, n_c, width - 1, 0, 1.0, self.ab, xc,
+                     trans=2 * self.transposed).view(np.float64)
 
     def __array__(self, dtype=None, copy=None):
-        # the dense matrix: desk-scale dims only
-        dim = self.ab.shape[1]
-        dense = np.zeros((dim, dim))
-        for row, band in enumerate(self.ab):
-            offset = row - self.ku  # i - j on this band row
-            j = np.arange(max(0, -offset), min(dim, dim - offset))
-            dense[j + offset, j] = band[j]
-        if self.transposed:
-            dense = dense.T
+        # the dense matrix, one column per apply: desk-scale dims only
+        dense = np.stack([self @ e for e in np.eye(self.shape[1])], axis=1)
         return dense if dtype is None else dense.astype(dtype)
 
     def spectrum(self):
-        """Nonincreasing singular values, the square roots of eig(H H^T).
+        """Nonincreasing singular values: each square root of eig(H H^H)
+        twice, as realifying doubles every singular value of ``H``.
 
         A singular value near zero carries an absolute error of up to about
         ``sqrt(eps) * s_max``; an SVD of ``H`` would give ``eps * s_max``.
@@ -109,10 +104,11 @@ class BandFactor:
         from scipy.linalg import eigvals_banded
 
         eig = eigvals_banded(self.gram, lower=True)
-        return np.sqrt(np.clip(eig[::-1], 0.0, None))
+        return np.repeat(np.sqrt(np.clip(eig[::-1], 0.0, None)), 2)
 
     def gain(self, sigma2, v, r):
-        """``H^T (sigma2 I + v H H^T)^{-1} r`` by banded Cholesky."""
+        """``H^H (sigma2 I + v H H^H)^{-1} r``, realified, by banded
+        Cholesky."""
         from scipy.linalg import cho_solve_banded, cholesky_banded
 
         system = v * self.gram
@@ -121,8 +117,9 @@ class BandFactor:
             factor = cholesky_banded(system, overwrite_ab=True, lower=True)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
-                f"sigma^2 I + v H H^T is singular: {exc}") from exc
-        return self.T @ cho_solve_banded((factor, True), r)
+                f"sigma^2 I + v H H^H is singular: {exc}") from exc
+        rc = np.ascontiguousarray(r, dtype=np.float64).view(np.complex128)
+        return self.T @ cho_solve_banded((factor, True), rc).view(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,28 +170,14 @@ class WyFactor:
         return dense if dtype is None else dense.astype(dtype)
 
 
-def _gram_band(ab, kl, ku):
-    """Lower band of ``H H^T`` from the general-band storage of ``H``."""
-    width, dim = ab.shape
-    # rows[t, i] = H[i, i - kl + t]: the band read along the rows of H
-    padded = np.pad(ab, ((0, 0), (kl, ku)))
-    rows = np.stack([padded[width - 1 - t, t:t + dim] for t in range(width)])
-    gram = np.zeros((width, dim))
-    for d in range(width):
-        # (H H^T)[k + d, k] = sum_t H[k + d, j] H[k, j], j = k + d - kl + t
-        gram[d, :dim - d] = np.sum(rows[:width - d, d:] * rows[d:, :dim - d],
-                                   axis=0)
-    return gram
-
-
 @dataclass(frozen=True)
 class ChannelInstance:
     """A channel ``y = A x + n`` stored via ``A = U diag(s) V^T`` or as a band.
 
     ``u`` is (m_rows, k), ``s`` is a nonincreasing length-k spectrum, ``vt``
     is (k, n_cols); ``sigma2`` is the AWGN variance.  ``u`` and ``vt`` are
-    dense arrays, :class:`OrthoFactor` operators (identity and ``fast``
-    channels) or :class:`WyFactor` reflectors (Haar channels); all support
+    dense arrays, :class:`OrthoFactor` operators (the identity, and the
+    ``fast`` V) or :class:`WyFactor` reflectors (the Haar V); all support
     ``@``, ``.T`` and ``.shape``.  A banded channel (tdl-fading) is not
     stored by SVD factors: ``u`` is then a :class:`BandFactor` holding ``A``
     itself, ``vt`` is None and ``s`` is still its singular spectrum.
@@ -227,24 +210,6 @@ class ChannelInstance:
         if self.vt is None:
             return self.u @ x
         return self.u @ (self.s * (self.vt @ x))
-
-    def in_left_basis(self, y):
-        """``(channel, U^T y)`` with ``u`` replaced by the identity.
-
-        The same link seen in U's basis: an orthogonal U keeps the misfit
-        norm, ``||y||^2 / m`` and the LMMSE gain as they are, while every
-        later ``apply`` and ``gain`` skips U.  A band, or a non-square ``u``
-        (whose U^T would drop the part of y outside its column space), is
-        returned unrotated with y.
-        """
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.m_rows,):
-            raise InvalidDimensionError(
-                f"expected length-{self.m_rows} observation, got shape "
-                f"{y.shape}")
-        if self.vt is None or self.u.shape[0] != self.u.shape[1]:
-            return self, y
-        return replace(self, u=OrthoFactor(self.m_rows)), self.u.T @ y
 
     def gain(self, v, r):
         """``A^T (sigma2 I + v A A^T)^{-1} r``, the LMMSE step's lift of r.
@@ -409,16 +374,21 @@ def _spectrum(dim, kappa, shape):
 
 def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
                             factor_method="haar"):
-    """Right-unitarily-invariant channel with condition number ``kappa``.
+    """Right-unitarily-invariant channel ``A = diag(s) V^T``, condition
+    number ``kappa``.
 
     The singular spectrum spans ``[s_max, s_max/kappa]`` with the requested
     shape (``linear`` or ``geometric``) and is normalized to unit average
-    power.  ``factor_method`` selects how the orthogonal factors are drawn:
-    ``"haar"`` (Haar factors drawn as seeded Householder reflectors, see
-    :func:`_haar_orthogonal`, kept as :class:`WyFactor`: O(dim^2) to build,
-    to store and per apply, the default) or ``"fast"``
-    (seeded sign/DCT/permutation scrambling kept as :class:`OrthoFactor`
-    operators: O(dim) state, O(dim log dim) per apply).
+    power.  Only the right factor V is drawn, as the first draw from the
+    seed's Philox stream; U is the identity.  The receiver's estimator needs
+    right-unitary invariance only, and for any orthogonal U independent of
+    the noise, ``U^T y = diag(s) V^T x + U^T n`` has the same law as this
+    channel's output, since ``U^T n`` is again white.  ``factor_method``
+    selects how V is drawn: ``"haar"`` (a Haar factor drawn as seeded
+    Householder reflectors, see :func:`_haar_orthogonal`, kept as
+    :class:`WyFactor`: O(dim^2) to build, to store and per apply, the
+    default) or ``"fast"`` (seeded sign/DCT/permutation scrambling kept as
+    an :class:`OrthoFactor`: O(dim) state, O(dim log dim) per apply).
     """
     if kappa < 1:
         raise InvalidParameterError(f"condition number must be >= 1, got {kappa}")
@@ -426,10 +396,10 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     make = {"haar": _haar_orthogonal, "fast": _fast_orthogonal}.get(factor_method)
     if make is None:
         raise InvalidParameterError(f"unknown factor_method {factor_method!r}")
-    u = make(dim, rng)
-    v = make(dim, rng)
-    return ChannelInstance(u=u, s=_spectrum(dim, kappa, spectrum_shape),
-                           vt=v.T, sigma2=float(sigma2), seed=int(seed),
+    return ChannelInstance(u=OrthoFactor(dim),
+                           s=_spectrum(dim, kappa, spectrum_shape),
+                           vt=make(dim, rng).T, sigma2=float(sigma2),
+                           seed=int(seed),
                            meta={"type": "conditioned", "dim": int(dim),
                                  "kappa": float(kappa),
                                  "spectrum_shape": spectrum_shape,
@@ -485,31 +455,31 @@ def gen_tdl_fading_channel(dim, profile, sigma2, seed):
     complex symbols are split into ``profile.num_symbols`` blocks; each block
     sees its own tap vector from :func:`sample_fading_taps`, and the operator
     convolves the input with the block-local taps (edge-truncated at the
-    start).  The realified matrix is lower-banded (``2 num_taps - 1``
-    sub-diagonals, one super-diagonal) and is stored as that band, with the
-    band of its Gram matrix; no ``dim x dim`` array is formed.
+    start).  The complex matrix ``H`` is lower-banded (``num_taps - 1``
+    sub-diagonals) and is stored as that band, with the band of its
+    Hermitian Gram matrix; no ``dim x dim`` array is formed.
     """
     if dim % 2 != 0:
         raise InvalidParameterError("dim must be even (pairs of real symbols)")
-    n_c = dim // 2
-    if profile.num_taps > n_c:
+    n_c, num_taps = dim // 2, profile.num_taps
+    if num_taps > n_c:
         raise InvalidParameterError(
-            f"num_taps={profile.num_taps} exceeds {n_c} complex symbols")
+            f"num_taps={num_taps} exceeds {n_c} complex symbols")
     taps = sample_fading_taps(profile, seed)
     block = np.minimum(np.arange(n_c) * profile.num_symbols // n_c,
                        profile.num_symbols - 1)
-    kl, ku = 2 * profile.num_taps - 1, 1
-    ab = np.zeros((kl + ku + 1, dim), order="F")
-    for ell in range(profile.num_taps):
-        # tap ell links complex output i to input j = i - ell, for i >= ell;
-        # ab[ku + row - col, col] holds the realified entry (row, col)
-        c = taps[block[ell:], ell]
-        cols = 2 * (n_c - ell)
-        ab[2 * ell + 1, 0:cols:2] = c.real     # (2i, 2j)
-        ab[2 * ell, 1:cols:2] = -c.imag        # (2i, 2j + 1)
-        ab[2 * ell + 2, 0:cols:2] = c.imag     # (2i + 1, 2j)
-        ab[2 * ell + 1, 1:cols:2] = c.real     # (2i + 1, 2j + 1)
-    band = BandFactor(ab=ab, kl=kl, ku=ku, gram=_gram_band(ab, kl, ku))
+    # rows[ell, i] = H[i, i - ell]: tap ell links output i to input i - ell
+    rows = np.where(np.arange(n_c) >= np.arange(num_taps)[:, None],
+                    taps[block].T, 0.0)
+    ab = np.zeros((num_taps, n_c), dtype=np.complex128, order="F")
+    gram = np.zeros((num_taps, n_c), dtype=np.complex128)
+    for d in range(num_taps):
+        ab[d, :n_c - d] = rows[d, d:]
+        # (H H^H)[j + d, j] = sum over t of H[j + d, j - t] conj(H[j, j - t])
+        gram[d, :n_c - d] = np.sum(rows[d:, d:]
+                                   * rows[:num_taps - d, :n_c - d].conj(),
+                                   axis=0)
+    band = BandFactor(ab=ab, gram=gram)
     return ChannelInstance(u=band, s=band.spectrum(), vt=None,
                            sigma2=float(sigma2), seed=int(seed),
                            meta={"type": "tdl-fading", "dim": int(dim),

@@ -223,9 +223,7 @@ def orthogonalize(post, prior):
 @dataclass(frozen=True)
 class CorrectedMessage(GaussMessage):
     """A corrected pseudo-prior; ``misfit`` is y - A mean and ``residual``
-    its squared norm.  Inside :func:`run_receiver` both y and A are taken
-    in U's basis, so the misfit is U^T (y - A mean) and its norm is the
-    same."""
+    its squared norm."""
 
     residual: float = float("nan")
     misfit: np.ndarray = None
@@ -278,13 +276,6 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
     the best estimate so far is returned with the error annotated on the
     trace.  The final estimate is the zero-filled back-transform of the last
     corrected mean.
-
-    An SVD channel with a square U is rotated once before the loop
-    (:meth:`ChannelInstance.in_left_basis`): y becomes U^T y and U the
-    identity, so every misfit y - A mean is taken in U's basis.  U is
-    orthogonal, so the misfit norm, the residual column and the LMMSE step
-    are those of the unrotated link up to rounding.  A banded channel is
-    not rotated.
     """
     if cfg is None:
         cfg = ReceiverConfig()
@@ -293,9 +284,6 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
         raise InvalidDimensionError(
             f"channel expects {ch.n_cols} inputs, operator outputs "
             f"{op.shape[0]}")
-    # one rotation into U's basis: each iteration then applies V^T and V
-    # only, and the misfit it carries is U^T (y - A mean)
-    ch, y = ch.in_left_basis(y)
     trace = IterationTrace()
     state = init_state(y, n=ch.n_cols)
     # y - A mean of the current state; the cold-start mean is zero

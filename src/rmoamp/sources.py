@@ -94,17 +94,35 @@ def load_source(spec):
         {"kind": "piecewise-constant", "n", "seed", "num_pieces"}
         {"kind": "pgm" | "matrix", "path": ...}
 
-    A spec without one of its kind's keys raises InvalidParameterError
-    naming the key.
+    A spec without one of its kind's keys, a file that cannot be opened, a
+    count or seed that is not a nonnegative integer (``n`` and
+    ``num_pieces`` at least 1) and a source that is neither a string nor a
+    dict raise InvalidParameterError naming the key or path.
     """
     if isinstance(spec, str):
         spec = {"kind": "pgm" if spec.endswith(".pgm") else "matrix",
                 "path": spec}
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(
+            f"source must be a path or a spec dict, got {spec!r}")
     try:
         return _from_spec(spec)
     except KeyError as exc:
         raise InvalidParameterError(
             f"source spec has no {exc.args[0]!r} key") from None
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot read source {spec['path']!r}: {exc.strerror or exc}"
+        ) from None
+
+
+def _integer(spec, key, low):
+    value = spec[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise InvalidParameterError(
+            f"source spec {key!r} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _from_spec(spec):
@@ -117,16 +135,19 @@ def _from_spec(spec):
         mat = read_matrix(spec["path"])
         return SourceSignal(mat.ravel(), shape=mat.shape)
     if kind == "gaussian":
-        return synthetic_gaussian(spec["n"], spec["seed"],
+        return synthetic_gaussian(_integer(spec, "n", 1),
+                                  _integer(spec, "seed", 0),
                                   mean=spec.get("mean", 0.0),
                                   std=spec.get("std", 1.0))
     if kind == "gauss-mixture":
-        return synthetic_gauss_mixture(spec["n"], spec["seed"],
+        return synthetic_gauss_mixture(_integer(spec, "n", 1),
+                                       _integer(spec, "seed", 0),
                                        spec["weights"], spec["means"],
                                        spec["stds"])
     if kind == "piecewise-constant":
-        return synthetic_piecewise_constant(spec["n"], spec["seed"],
-                                            spec["num_pieces"])
+        return synthetic_piecewise_constant(_integer(spec, "n", 1),
+                                            _integer(spec, "seed", 0),
+                                            _integer(spec, "num_pieces", 1))
     raise InvalidParameterError(f"unknown source kind {kind!r}")
 
 

@@ -70,6 +70,26 @@ class TestConditionedChannel:
         assert np.array_equal(a.dense(), b.dense())
         assert not np.allclose(a.dense(), c.dense())
 
+    @pytest.mark.parametrize("method", ["haar", "fast"])
+    def test_one_factor_draw_and_an_identity_u(self, method, monkeypatch):
+        # only V is drawn; A = diag(s) V^T keeps the requested spectrum
+        drawer = {"haar": "_haar_orthogonal", "fast": "_fast_orthogonal"}
+        calls = []
+        draw = getattr(channel_mod, drawer[method])
+
+        def counted(dim, rng):
+            calls.append(dim)
+            return draw(dim, rng)
+
+        monkeypatch.setattr(channel_mod, drawer[method], counted)
+        ch = rm.gen_conditioned_channel(24, 10.0, "geometric", 0.1, seed=13,
+                                        factor_method=method)
+        assert calls == [24]
+        assert isinstance(ch.u, rm.OrthoFactor) and ch.u.signs is None
+        assert np.array_equal(np.asarray(ch.u), np.eye(24))
+        svd = np.linalg.svd(ch.dense(), compute_uv=False)
+        assert np.max(np.abs(svd - ch.s)) < 1e-13
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
             rm.gen_conditioned_channel(8, 0.5, "linear", 0.0, seed=0)
@@ -318,6 +338,19 @@ class TestHaarFactor:
         assert back.shape == (dim,) and np.all(np.isfinite(back))
         assert peak < 56 * 2 ** 20
 
+    def test_build_holds_one_factor(self):
+        # a dim x dim reflector array is 15.7 MiB here; a build that drew U
+        # and V peaked at 41.6 MiB
+        tracemalloc.start()
+        try:
+            ch = rm.gen_conditioned_channel(1434, 10.0, "geometric", 0.01,
+                                            seed=45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ch.vt, rm.WyFactor)
+        assert peak <= 28 * 2 ** 20
+
 
 def random_profile(num_taps, num_symbols, seed):
     powers = np.random.Generator(np.random.Philox(seed)).random(num_taps)
@@ -384,7 +417,50 @@ class TestFadingTaps:
         assert pv > 0.01
 
 
+def realified_fading(profile, dim, seed):
+    """Dense realified fading matrix built entry by entry from the taps:
+    block-local causal convolution, edge-truncated at the start, each
+    complex coefficient ``a + jb`` the block ``[[a, -b], [b, a]]``."""
+    taps = rm.sample_fading_taps(profile, seed=seed)
+    n_c = dim // 2
+    block = np.minimum(np.arange(n_c) * profile.num_symbols // n_c,
+                       profile.num_symbols - 1)
+    h = np.zeros((dim, dim))
+    for i in range(n_c):
+        for ell in range(min(profile.num_taps, i + 1)):
+            c = taps[block[i], ell]
+            j = i - ell
+            h[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.real, -c.imag],
+                                                   [c.imag, c.real]]
+    return h
+
+
 class TestTdlFadingChannel:
+    @pytest.mark.parametrize("dim,num_taps,num_symbols", [
+        (2, 1, 1), (4, 2, 1), (8, 4, 3), (12, 3, 3), (24, 12, 8),
+        (40, 3, 4)])
+    def test_band_matches_the_realified_matrix(self, dim, num_taps,
+                                               num_symbols):
+        # num_taps = dim / 2 makes the band as wide as the complex matrix
+        p = random_profile(num_taps, num_symbols, seed=dim)
+        ch = rm.gen_tdl_fading_channel(dim, p, sigma2=0.05, seed=dim)
+        h = realified_fading(p, dim, seed=dim)
+        assert ch.u.shape == ch.u.T.shape == (dim, dim)
+        assert np.max(np.abs(np.asarray(ch.u) - h)) < 1e-15
+        assert np.max(np.abs(np.asarray(ch.u.T) - h.T)) < 1e-15
+        rng = np.random.Generator(np.random.Philox(dim + 1))
+        x = rng.standard_normal(dim)
+        assert np.max(np.abs(ch.apply(x) - h @ x)) < 1e-13
+        assert np.max(np.abs(ch.u.T @ x - h.T @ x)) < 1e-13
+        for v in (0.01, 1.0, 30.0):
+            oracle = h.T @ np.linalg.solve(0.05 * np.eye(dim) + v * h @ h.T,
+                                           x)
+            assert np.max(np.abs(ch.gain(v, x) - oracle)) < 1e-10
+        # realifying doubles each singular value of the complex matrix
+        assert np.array_equal(ch.s[0::2], ch.s[1::2])
+        eig = np.linalg.eigvalsh(h @ h.T)[::-1]
+        assert np.max(np.abs(ch.s ** 2 - eig)) < 1e-13
+
     def test_matches_naive_convolution_oracle(self):
         # independent reconstruction: block-local causal complex convolution,
         # realified with [[a, -b], [b, a]] blocks
@@ -570,23 +646,18 @@ class TestBuildSlot:
         ch = rm.build_channel(spec, 16, 0.0, seed=3)
         with pytest.raises(ValueError):
             ch.s[0] = 1.0
-        if isinstance(ch.u, np.ndarray):
-            with pytest.raises(ValueError):
-                ch.u[0, 0] = 1.0
-            with pytest.raises(ValueError):
-                ch.vt[0, 0] = 1.0
-        elif isinstance(ch.u, rm.BandFactor):
+        if isinstance(ch.u, rm.BandFactor):
             assert ch.vt is None
             with pytest.raises(ValueError):
                 ch.u.ab[0, 0] = 1.0
             with pytest.raises(ValueError):
                 ch.u.gram[0, 0] = 1.0
-        elif isinstance(ch.u, rm.WyFactor):
-            for factor in (ch.u, ch.vt):
-                for array in (factor.v, factor.t, factor.signs):
-                    assert not array.flags.writeable
-        else:
-            for array in (ch.u.signs, ch.u.perm, ch.vt.signs, ch.vt.perm):
+            return
+        names = {rm.WyFactor: ("v", "t", "signs"),
+                 rm.OrthoFactor: ("signs", "perm")}
+        for factor in (ch.u, ch.vt):
+            for name in names[type(factor)]:
+                array = getattr(factor, name)
                 assert array is None or not array.flags.writeable
 
     def test_key_is_exact(self):
@@ -607,7 +678,7 @@ class TestBuildSlot:
     def test_dim_or_seed_change_misses(self, dim, seed):
         a = rm.build_channel(HAAR, 16, 0.0, seed=5)
         b = rm.build_channel(HAAR, dim, 0.0, seed=seed)
-        assert b.u is not a.u
+        assert b.vt is not a.vt
         assert b.m_rows == dim and b.seed == seed
 
     def test_failed_build_leaves_no_entry(self):
@@ -635,7 +706,7 @@ class TestBuildSlot:
                 seed, sigma2 = 1 + (i + offset) % 2, float(i)
                 ch = rm.build_channel(HAAR, 8, sigma2, seed=seed)
                 if (ch.sigma2 != sigma2 or ch.seed != seed
-                        or not np.array_equal(ch.u, refs[seed].u)):
+                        or not np.array_equal(ch.vt, refs[seed].vt)):
                     wrong.append((seed, sigma2))
 
         interval = sys.getswitchinterval()
@@ -658,13 +729,13 @@ class TestBuildSlot:
         # (as functools.lru_cache does) would raise the peak memory by one
         # channel's factors
         ch = rm.build_channel(HAAR, 16, 0.0, seed=5)
-        old_u = weakref.ref(ch.u)
+        old_vt = weakref.ref(ch.vt)
         del ch
-        assert old_u() is not None  # the slot holds it
+        assert old_vt() is not None  # the slot holds it
         build = channel_mod._haar_orthogonal
 
         def checked(dim, rng):
-            assert old_u() is None, "the old factors are still referenced"
+            assert old_vt() is None, "the old factors are still referenced"
             return build(dim, rng)
 
         monkeypatch.setattr(channel_mod, "_haar_orthogonal", checked)

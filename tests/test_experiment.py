@@ -282,12 +282,23 @@ BAD_SOURCES = {
                            "not an integer"),
     "no-kind": ({"n": 64, "seed": 9}, "'kind'"),
     "no-n": ({"kind": "gaussian", "seed": 9}, "'n'"),
+    "missing-file": (None, "nowhere.pgm"),
+    "negative-n": ({"kind": "gaussian", "n": -1, "seed": 9},
+                   "'n' must be an integer >= 1, got -1"),
+    "word-n": ({"kind": "gaussian", "n": "abc", "seed": 9},
+               "'n' must be an integer >= 1, got 'abc'"),
+    "string-num-pieces": ({"kind": "piecewise-constant", "n": 64, "seed": 9,
+                           "num_pieces": "3"},
+                          "'num_pieces' must be an integer >= 1, got '3'"),
+    "not-a-spec": (5, "source must be a path or a spec dict, got 5"),
 }
 
 
 def bad_source(name, tmp_path):
     source, _ = BAD_SOURCES[name]
-    if isinstance(source, dict):
+    if source is None:
+        return str(tmp_path / "nowhere.pgm")
+    if not isinstance(source, tuple):
         return source
     filename, data = source
     (tmp_path / filename).write_bytes(data)

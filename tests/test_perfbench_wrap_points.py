@@ -87,7 +87,7 @@ def test_sigma_only_repeat_is_one_build_under_the_tracer(monkeypatch):
     builds = [s for s in tracer.spans if s.name == "channel.build"]
     assert len(builds) == 2 and all(s.ok for s in builds)
     assert builds[0].extra["key"] == builds[1].extra["key"]
-    assert draws == [32, 32]  # u and v of the first point only
+    assert draws == [32]  # v of the first point only
 
     # the same rows when every point draws its own factors
     fresh = []
@@ -95,12 +95,12 @@ def test_sigma_only_repeat_is_one_build_under_the_tracer(monkeypatch):
         monkeypatch.setattr(channel, "_last_built", None)
         fresh.append(sweep([point])[0].splitlines()[1])
     assert text.splitlines()[1:] == fresh
-    assert len(draws) == 6
+    assert len(draws) == 3
 
 
 def test_rotated_haar_run_still_traces_one_apply_per_iteration():
-    # run_receiver works on a rotated copy of the channel; it must stay a
-    # ChannelInstance, or the tracer's channel.apply spans would vanish
+    # the one channel apply of each iteration must go through
+    # ChannelInstance.apply, or the tracer's channel.apply spans would vanish
     cfg = ExperimentConfig(
         source={"kind": "gaussian", "n": 64, "seed": 9}, beta=0.5,
         sigma=0.05, max_iters=4, tolerance=1e-12,

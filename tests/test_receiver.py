@@ -1,6 +1,8 @@
 """Receiver stages: LMMSE vs dense oracle, extrinsic fusion, rescaling,
 convergence, and the assembled loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -453,7 +455,9 @@ class TestLoopResidual:
 
 
 class TestLeftBasisRotation:
-    """run_receiver rotates y and U away once, then applies V^T and V."""
+    """A left factor U only turns y: built channels carry the identity U,
+    so the loop applies V^T and V alone, and a channel with an orthogonal U
+    runs as the identity-U channel on U^T y."""
 
     @staticmethod
     def inputs(spec):
@@ -462,12 +466,9 @@ class TestLeftBasisRotation:
         y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=53)
         return y, ch, op, gm, ReceiverConfig(max_iters=5, tolerance=1e-12), src
 
-    def run(self, spec):
-        return run_receiver(*self.inputs(spec))
-
     @pytest.mark.parametrize("method", ["haar", "fast"])
     def test_two_factor_applies_per_iteration(self, method, monkeypatch):
-        # the identity U left by the rotation is not a factor apply
+        # the identity U is not a factor apply
         inputs = self.inputs({"kind": "conditioned", "kappa": 10.0,
                               "factor_method": method})
         op = inputs[2]
@@ -483,52 +484,30 @@ class TestLeftBasisRotation:
         _, trace = run_receiver(*inputs)
         assert trace.error is None and len(trace) == 5
         kind = "WyFactor" if method == "haar" else "OrthoFactor"
-        assert calls == [kind] * (2 * len(trace) + 1)
+        assert calls == [kind] * (2 * len(trace))
 
     @pytest.mark.parametrize("spec", [
         {"kind": "conditioned", "kappa": 10.0, "factor_method": "haar"},
         {"kind": "conditioned", "kappa": 10.0, "factor_method": "fast"},
         {"kind": "identity"}], ids=["haar", "fast", "identity"])
-    def test_matches_the_unrotated_loop(self, spec, monkeypatch):
-        est, trace = self.run(spec)
-        monkeypatch.setattr(ChannelInstance, "in_left_basis",
-                            lambda self, y: (self, y))
-        ref_est, ref_trace = self.run(spec)
+    def test_matches_the_unrotated_loop(self, spec):
+        # a hand-built channel with a dense seeded orthogonal U, run as it
+        # stands and as the identity-U channel on U^T y
+        _, built, op, gm, cfg, src = self.inputs(spec)
+        m = built.m_rows
+        u, _ = np.linalg.qr(np.random.Generator(np.random.Philox(54))
+                            .standard_normal((m, m)))
+        ch = replace(built, u=u)
+        y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=53)
+        ref_est, ref_trace = run_receiver(y, ch, op, gm, cfg, truth=src)
+        est, trace = run_receiver(u.T @ y, replace(ch, u=rm.OrthoFactor(m)),
+                                  op, gm, cfg, truth=src)
         assert len(trace) == len(ref_trace) >= 2
         err = np.linalg.norm(est.values - ref_est.values)
         assert err <= 1e-10 * np.linalg.norm(ref_est.values)
         for name in ("psnr", "residual"):
             np.testing.assert_allclose(trace.column(name),
                                        ref_trace.column(name), rtol=1e-10)
-
-    def test_band_channel_is_not_rotated(self, monkeypatch):
-        est, trace = self.run({"kind": "tdl-fading"})
-        monkeypatch.setattr(ChannelInstance, "in_left_basis",
-                            lambda self, y: (self, y))
-        ref_est, ref_trace = self.run({"kind": "tdl-fading"})
-        assert np.array_equal(est.values, ref_est.values)
-        assert trace.to_csv() == ref_trace.to_csv()
-
-    def test_rotation_keeps_norms_and_skips_non_square_u(self):
-        rng = np.random.Generator(np.random.Philox(6))
-        ch = rm.gen_conditioned_channel(32, 10.0, "geometric", 0.1, seed=7)
-        y = rng.standard_normal(32)
-        x = rng.standard_normal(32)
-        rotated, uy = ch.in_left_basis(y)
-        assert isinstance(rotated, ChannelInstance)
-        assert np.allclose(np.asarray(rotated.u), np.eye(32))
-        assert np.linalg.norm(uy) == pytest.approx(np.linalg.norm(y),
-                                                   rel=1e-14)
-        assert np.allclose(rotated.gain(0.5, uy), ch.gain(0.5, y),
-                           atol=1e-12)
-        assert np.allclose(rotated.apply(x), np.asarray(ch.u).T @ ch.apply(x),
-                           atol=1e-12)
-        # a tall channel: U^T would drop y's part outside range(U)
-        tall = channel_from_dense(rng.standard_normal((12, 5)), 0.1)
-        same, y_tall = tall.in_left_basis(np.ones(12))
-        assert same is tall and np.array_equal(y_tall, np.ones(12))
-        with pytest.raises(InvalidDimensionError):
-            ch.in_left_basis(np.ones(31))
 
 
 class TestTraceCsvFault:
