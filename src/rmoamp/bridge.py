@@ -17,12 +17,11 @@ reads, bad magic, and length mismatches raise BridgeError subclasses, which
 the receiver loop treats as a recoverable denoiser fault.
 
 One client serves one receiver run at a time; concurrent runs need separate
-clients.
+clients.  ``socket`` and ``subprocess`` are imported on first use, so a
+server that imports this module only for the framing does not load them.
 """
 
-import socket
 import struct
-import subprocess
 import sys
 import time
 
@@ -94,6 +93,9 @@ class BridgeClient:
     def spawn(cls, argv, timeout=5.0):
         """Start ``argv`` as a child whose stdin and stdout are both one end
         of a socket pair, and speak the protocol over the other end."""
+        import socket
+        import subprocess
+
         client = cls(timeout=timeout)
         client._sock, theirs = socket.socketpair()
         with theirs:
@@ -108,6 +110,8 @@ class BridgeClient:
     @classmethod
     def connect(cls, host, port, timeout=5.0):
         """Connect to a denoiser server listening on a TCP socket."""
+        import socket
+
         client = cls(timeout=timeout)
         client._sock = socket.create_connection((host, port),
                                                 timeout=timeout)
@@ -182,6 +186,8 @@ class BridgeClient:
             self._sock.close()
             self._sock = None
         if self._proc is not None:
+            import subprocess
+
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=2.0)

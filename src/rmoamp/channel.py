@@ -84,7 +84,11 @@ class BandFactor:
         from scipy.linalg.blas import zgbmv
 
         width, n_c = self.ab.shape
-        xc = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (2 * n_c,):
+            raise InvalidDimensionError(
+                f"expected length-{2 * n_c} input, got shape {x.shape}")
+        xc = np.ascontiguousarray(x).view(np.complex128)
         # trans=2: the conjugate transpose
         return zgbmv(n_c, n_c, width - 1, 0, 1.0, self.ab, xc,
                      trans=2 * self.transposed).view(np.float64)

@@ -17,7 +17,6 @@ and reentrant.
 import numpy as np
 
 from .errors import InvalidParameterError, NleError
-from .rm_operator import dct_transform
 
 __all__ = [
     "denoise",
@@ -152,7 +151,8 @@ class DctSoftThresholdPrior:
 
     The DC coefficient is passed through untouched.  ``rule(v, n)`` maps the
     noise variance and length to the threshold; the default is the universal
-    threshold sqrt(2 ln(n) v).
+    threshold sqrt(2 ln(n) v).  :mod:`rmoamp.rm_operator`, which holds the
+    DCT, is imported on first use.
     """
 
     snr_kind = None
@@ -162,6 +162,8 @@ class DctSoftThresholdPrior:
         self.rule = rule
 
     def denoise(self, s_in, t_star, v):
+        from .rm_operator import dct_transform
+
         c = dct_transform(np.asarray(s_in, dtype=np.float64))
         lam = float(self.rule(v, c.size))
         soft = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)

@@ -59,10 +59,16 @@ def synthetic_gaussian(n, seed, mean=0.0, std=1.0):
 def synthetic_gauss_mixture(n, seed, weights, means, stds):
     """i.i.d. draws from a scalar Gaussian mixture."""
     weights = np.asarray(weights, dtype=np.float64)
-    if not np.isclose(weights.sum(), 1.0):
-        raise InvalidParameterError("mixture weights must sum to 1")
+    if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
+        raise InvalidParameterError(
+            "mixture weights must be >= 0 and sum to 1")
     means = np.asarray(means, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
+    for key, values in (("means", means), ("stds", stds)):
+        if values.shape != weights.shape:
+            raise InvalidParameterError(
+                f"mixture {key!r} must have one entry per weight: "
+                f"{values.size} for {weights.size}")
     rng = np.random.Generator(np.random.Philox(seed))
     comp = rng.choice(weights.size, size=n, p=weights)
     return SourceSignal(means[comp] + stds[comp] * rng.standard_normal(n))
@@ -96,8 +102,10 @@ def load_source(spec):
 
     A spec without one of its kind's keys, a file that cannot be opened, a
     count or seed that is not a nonnegative integer (``n`` and
-    ``num_pieces`` at least 1) and a source that is neither a string nor a
-    dict raise InvalidParameterError naming the key or path.
+    ``num_pieces`` at least 1), a ``mean`` or ``std`` that is not a number,
+    ``weights``, ``means`` and ``stds`` that are not lists of numbers of one
+    length, negative ``weights``, and a source that is neither a string nor a dict raise
+    InvalidParameterError naming the key or path.
     """
     if isinstance(spec, str):
         spec = {"kind": "pgm" if spec.endswith(".pgm") else "matrix",
@@ -125,6 +133,21 @@ def _integer(spec, key, low):
     return int(value)
 
 
+def _numbers(spec, key, ndim, default=None):
+    """``spec[key]``, or ``default`` when given and the key is absent, when
+    it is a number (``ndim`` 0) or a flat list of numbers (``ndim`` 1)."""
+    value = spec[key] if default is None else spec.get(key, default)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+        what = "a number" if ndim == 0 else "a list of numbers"
+        raise InvalidParameterError(
+            f"source spec {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _from_spec(spec):
     kind = spec["kind"]
     if kind == "pgm":
@@ -137,13 +160,14 @@ def _from_spec(spec):
     if kind == "gaussian":
         return synthetic_gaussian(_integer(spec, "n", 1),
                                   _integer(spec, "seed", 0),
-                                  mean=spec.get("mean", 0.0),
-                                  std=spec.get("std", 1.0))
+                                  mean=_numbers(spec, "mean", 0, 0.0),
+                                  std=_numbers(spec, "std", 0, 1.0))
     if kind == "gauss-mixture":
         return synthetic_gauss_mixture(_integer(spec, "n", 1),
                                        _integer(spec, "seed", 0),
-                                       spec["weights"], spec["means"],
-                                       spec["stds"])
+                                       _numbers(spec, "weights", 1),
+                                       _numbers(spec, "means", 1),
+                                       _numbers(spec, "stds", 1))
     if kind == "piecewise-constant":
         return synthetic_piecewise_constant(_integer(spec, "n", 1),
                                             _integer(spec, "seed", 0),

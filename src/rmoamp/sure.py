@@ -12,6 +12,7 @@ the divergence is estimated with a single Monte Carlo probe.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,12 +27,22 @@ def probe_scale(v):
     return max(1e-3 * np.sqrt(max(v, 0.0)), 1e-8)
 
 
+@lru_cache(maxsize=8)
+def _probe(seed, n):
+    """The common-random-numbers probe w ~ N(0, I_n) for ``seed``, read-only:
+    a receiver run draws the same one at every iteration."""
+    w = np.random.Generator(np.random.Philox(seed)).standard_normal(n)
+    w.flags.writeable = False
+    return w
+
+
 def mc_divergence(prior, s_in, t_star, v, eps_fd=None, seed=0, phi0=None):
     """One-probe Monte Carlo estimate of the normalized divergence.
 
     Draws w ~ N(0, I) and returns <w, phi(s_in + eps*w) - phi(s_in)> / (eps*N).
     Pass ``phi0`` to reuse an already computed phi(s_in) and save one denoiser
-    call.  Deterministic in ``seed``.
+    call.  Deterministic in the integer ``seed``; the probe for each
+    ``(seed, N)`` is drawn once and cached.
     """
     s_in = np.asarray(s_in, dtype=np.float64)
     n = s_in.size
@@ -40,8 +51,7 @@ def mc_divergence(prior, s_in, t_star, v, eps_fd=None, seed=0, phi0=None):
     eps = float(eps_fd) if eps_fd is not None else probe_scale(v)
     if eps <= 0:
         raise InvalidParameterError("probe step must be > 0")
-    rng = np.random.Generator(np.random.Philox(seed))
-    w = rng.standard_normal(n)
+    w = _probe(seed, n)
     if phi0 is None:
         phi0 = denoise(prior, s_in, t_star, v)
     phi1 = denoise(prior, s_in + eps * w, t_star, v)

@@ -461,6 +461,16 @@ class TestTdlFadingChannel:
         eig = np.linalg.eigvalsh(h @ h.T)[::-1]
         assert np.max(np.abs(ch.s ** 2 - eig)) < 1e-13
 
+    @pytest.mark.parametrize("length", [4, 15, 18, 17])
+    def test_band_factor_rejects_a_wrong_length(self, length):
+        # an even length once reached BLAS as f2py's _fblas.error and an odd
+        # one as numpy's ValueError from the complex view
+        ch = rm.gen_tdl_fading_channel(16, make_profile(), sigma2=0.1, seed=1)
+        for factor in (ch.u, ch.u.T):
+            with pytest.raises(rm.InvalidDimensionError,
+                               match="expected length-16"):
+                factor @ np.ones(length)
+
     def test_matches_naive_convolution_oracle(self):
         # independent reconstruction: block-local causal complex convolution,
         # realified with [[a, -b], [b, a]] blocks

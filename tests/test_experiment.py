@@ -291,6 +291,20 @@ BAD_SOURCES = {
                            "num_pieces": "3"},
                           "'num_pieces' must be an integer >= 1, got '3'"),
     "not-a-spec": (5, "source must be a path or a spec dict, got 5"),
+    "word-std": ({"kind": "gaussian", "n": 64, "seed": 9, "std": "x"},
+                 "'std' must be a number, got 'x'"),
+    "word-stds": ({"kind": "gauss-mixture", "n": 64, "seed": 9,
+                   "weights": [0.9, 0.1], "means": [0.0, 0.0],
+                   "stds": "ab"},
+                  "'stds' must be a list of numbers, got 'ab'"),
+    "long-means": ({"kind": "gauss-mixture", "n": 64, "seed": 9,
+                    "weights": [0.9, 0.1], "means": [0.0, 0.0, 1.0],
+                    "stds": [0.1, 1.0]},
+                   "'means' must have one entry per weight: 3 for 2"),
+    "negative-weight": ({"kind": "gauss-mixture", "n": 64, "seed": 9,
+                         "weights": [1.5, -0.5], "means": [0.0, 0.0],
+                         "stds": [0.1, 1.0]},
+                        "mixture weights must be >= 0 and sum to 1"),
 }
 
 

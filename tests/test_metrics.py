@@ -125,35 +125,99 @@ class TestSsim:
             ssim(np.zeros(16), np.zeros(16))
 
 
-def scipy_modules_after(code):
-    # run code in a fresh interpreter and list the scipy modules it loaded
+def modules_after(code, *prefixes):
+    # run code in a fresh interpreter and list the modules it loaded whose
+    # top-level package is one of ``prefixes``
     code += ("\nimport sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+             f"if m.split('.')[0] in {prefixes!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
+BRIDGE_SERVER = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "bridge_server.py")
+
+# the names the package exported while it imported every submodule eagerly
+PUBLIC_NAMES = """
+AnalyticGaussianPrior BandFactor BridgeClient BridgeError BridgePrior
+BridgeProtocolError BridgeTimeoutError ChannelInstance
+DctSoftThresholdPrior DdimPrior DdimSchedule DegenerateNleError
+ExperimentConfig FadingProfile FlowMatchingPrior GaussMessage
+GaussianMixturePrior IntegrationError InvalidDimensionError
+InvalidMessageError InvalidParameterError IterationRecord IterationTrace
+MetricReport NleError NoInformationError OrthoFactor PSNR_CEILING
+ReceiverConfig RmOampError SingularSystemError SourceSignal SureResult
+TrialResult WyFactor baseline_psnr build_channel build_prior
+build_rm_operator channel_from_descriptor check_convergence
+dct_transform ddim_reverse_step ddim_x0_predict default_ddim_schedule
+denoise encode_request encode_response fading_profile fm_integrate
+gaussian_eps_predictor gaussian_velocity_predictor gaussian_window
+gen_conditioned_channel gen_identity_channel gen_tdl_fading_channel
+init_state lmmse_baseline lmmse_estimate load_source map_alpha_to_step
+mc_divergence mmse_correction orthogonalize pointmass_eps_predictor
+pointmass_velocity_predictor probe_scale psnr rayleigh_fit_statistic
+read_matrix read_pgm rm_forward rm_inverse run_experiment run_receiver
+sample_fading_taps save_source_pgm snr_match ssim sure_orthogonalize
+sweep synthetic_gauss_mixture synthetic_gaussian
+synthetic_piecewise_constant transmit write_matrix write_pgm
+""".split()
+
+
 def test_import_leaves_scipy_signal_and_stats_unloaded():
-    # every bridge child imports rmoamp, so its start pays for what this
-    # loads: no scipy module at all.  A fading channel brings in
+    # import rmoamp loads no submodule (each public name loads its own on
+    # first access), so no scipy module either.  A fading channel brings in
     # scipy.linalg and scipy.special on its first build, a haar channel
     # scipy.linalg on its first apply, ssim scipy.signal on its first
     # windowed call, rayleigh_fit_statistic scipy.stats
-    assert scipy_modules_after("import rmoamp") == "[]"
+    assert modules_after("import rmoamp", "scipy") == "[]"
+
+
+def test_import_loads_no_submodule():
+    assert modules_after("import rmoamp", "rmoamp") == "['rmoamp']"
+
+
+def test_bridge_child_loads_only_framing_errors_and_priors():
+    # every bridge child starts an interpreter and pays for what its imports
+    # load: the benchmark's server, through its first reply.  The client's
+    # socket and subprocess modules stay out of it too
+    code = f"""
+import importlib.util
+import numpy as np
+spec = importlib.util.spec_from_file_location(
+    "bridge_server", {BRIDGE_SERVER!r})
+server = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(server)
+prior = server.GaussianMixturePrior([0.9, 0.1], [0.0, 0.0], [1e-4, 1.0])
+server.encode_response(prior.denoise(np.linspace(-1, 1, 64), None, 0.1))
+"""
+    assert modules_after(code, "rmoamp", "socket", "subprocess") == (
+        "['rmoamp', 'rmoamp.bridge', 'rmoamp.errors', 'rmoamp.priors']")
+
+
+def test_every_public_name_resolves_on_first_access():
+    code = """
+import rmoamp
+assert all(getattr(rmoamp, name) is not None for name in rmoamp.__all__)
+assert set(rmoamp.__all__) <= set(dir(rmoamp))
+assert rmoamp.channel.build_channel is rmoamp.build_channel
+print(sorted(rmoamp.__all__))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == str(sorted(PUBLIC_NAMES))
 
 
 def test_bridge_child_and_dense_bridge_parent_load_no_scipy():
     # what the benchmark's bridge server and its dense-bridge parent run:
     # the mixture denoiser and its framing, the RM operator, a fast channel
-    server = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "bridge_server.py")
     code = f"""
 import importlib.util
 import numpy as np
 from rmoamp import (GaussianMixturePrior, build_channel, build_rm_operator,
                     encode_response, rm_forward, rm_inverse)
-spec = importlib.util.spec_from_file_location("bridge_server", {server!r})
+spec = importlib.util.spec_from_file_location(
+    "bridge_server", {BRIDGE_SERVER!r})
 spec.loader.exec_module(importlib.util.module_from_spec(spec))
 rng = np.random.Generator(np.random.Philox(1))
 prior = GaussianMixturePrior([0.9, 0.1], [0.0, 0.0], [1e-4, 1.0])
@@ -166,7 +230,7 @@ ch = build_channel({{"kind": "conditioned", "kappa": 10.0,
                    32, 0.01, 3)
 ch.gain(0.5, ch.apply(x))
 """
-    assert scipy_modules_after(code) == "[]"
+    assert modules_after(code, "scipy") == "[]"
 
 
 @pytest.mark.parametrize("method", ["haar", "fast"])
@@ -187,7 +251,7 @@ prior = rm.GaussianMixturePrior((0.9, 0.1), (0.0, 0.0), (1e-4, 1.0))
 rm.run_receiver(y, ch, op, prior, rm.ReceiverConfig(max_iters=3), truth=src)
 rm.lmmse_baseline(y, ch, op, truth=src)
 """
-    loaded = scipy_modules_after(code)
+    loaded = modules_after(code, "scipy")
     if method == "haar":
         assert "'scipy.linalg'" in loaded
     else:

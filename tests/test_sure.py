@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rmoamp as rm
 from rmoamp import (
     AnalyticGaussianPrior,
     GaussianMixturePrior,
@@ -11,6 +12,7 @@ from rmoamp import (
     probe_scale,
     sure_orthogonalize,
 )
+from rmoamp.sure import _probe
 
 
 class LinearPrior:
@@ -116,6 +118,57 @@ class TestMcDivergence:
             mc_divergence(LinearPrior(1.0), np.array([]), None, 1.0)
         with pytest.raises(InvalidParameterError):
             mc_divergence(LinearPrior(1.0), np.ones(4), None, 1.0, eps_fd=0.0)
+
+
+def fresh_draw_divergence(prior, s_in, v, seed):
+    # the estimate with a new generator and probe draw on every call
+    eps = probe_scale(v)
+    w = probe_vector(seed, s_in.size)
+    phi0 = prior.denoise(s_in, None, v)
+    phi1 = prior.denoise(s_in + eps * w, None, v)
+    return float(np.dot(w, phi1 - phi0) / (eps * s_in.size))
+
+
+class TestProbeCache:
+    @pytest.mark.parametrize("seed,n", [(0, 5), (7, 2048), (2 ** 40, 333)])
+    def test_cached_probe_is_bit_identical_to_a_fresh_draw(self, seed, n):
+        _probe.cache_clear()
+        prior = GaussianMixturePrior((0.9, 0.1), (0.0, 0.5), (1e-3, 1.0))
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        for v in (0.3, 0.05, 0.3):  # one miss, then hits
+            z = rng.standard_normal(n)
+            assert mc_divergence(prior, z, None, v, seed=seed) == \
+                fresh_draw_divergence(prior, z, v, seed)
+        assert _probe.cache_info().misses == 1
+
+    def test_probe_is_shared_and_read_only(self):
+        w = _probe(3, 16)
+        assert _probe(3, 16) is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, probe_vector(3, 16))
+
+    def test_receiver_run_builds_the_probe_generator_once(self, monkeypatch):
+        n = 512
+        src = rm.synthetic_gauss_mixture(n, 20, (0.9, 0.1), (0.0, 0.0),
+                                         (0.01, 1.0))
+        op = rm.build_rm_operator(n, n // 2, seed=21)
+        ch = rm.build_channel({"kind": "conditioned", "kappa": 10.0},
+                              n // 2, 0.01, 22)
+        y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=23)
+        prior = GaussianMixturePrior((0.9, 0.1), (0.0, 0.0), (1e-4, 1.0))
+        _probe.cache_clear()
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        _, trace = rm.run_receiver(y, ch, op, prior,
+                                   rm.ReceiverConfig(max_iters=8), truth=src)
+        assert len(trace) > 2 and trace.error is None
+        assert built == [(0,)]
 
 
 class TestSureOrthogonalize:
