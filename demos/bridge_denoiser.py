@@ -42,7 +42,7 @@ print(f"\nloop over the bridge: {len(trace)} iteration(s), "
       f"final {rm.psnr(src.values, est.values):.2f} dB")
 
 # 4. fault injection: a server that answers with the wrong length; each
-# iteration notes the fault and falls back to the uncorrected estimate
+# iteration notes the fault and keeps the extrinsic estimate
 with spawn_echo_bridge(mode="wrong-length") as client:
     est, trace = rm.run_receiver(y, ch, op, rm.BridgePrior(client), cfg,
                                  truth=src)

@@ -530,6 +530,16 @@ def _freeze(ch):
                 array.setflags(write=False)
 
 
+def spec_key(spec):
+    """Exact text of a channel spec: equal specs give equal keys.
+
+    json writes floats at full precision, where numpy's repr would print tap
+    powers that differ in the 12th digit alike.
+    """
+    return json.dumps(spec, sort_keys=True,
+                      default=lambda o: np.asarray(o).tolist())
+
+
 def build_channel(spec, dim, sigma2, seed):
     """Instantiate a channel from a spec dict (``kind`` plus its keys).
 
@@ -540,10 +550,7 @@ def build_channel(spec, dim, sigma2, seed):
     call with a different key; a miss drops it before building the next.
     """
     global _last_built
-    # exact: json writes floats at full precision, where numpy's repr would
-    # print tap powers that differ in the 12th digit alike
-    key = (json.dumps(spec, sort_keys=True,
-                      default=lambda o: np.asarray(o).tolist()), dim, seed)
+    key = (spec_key(spec), dim, seed)
     last = _last_built
     if last is not None and last[0] == key:
         return replace(last[1], sigma2=float(sigma2))

@@ -25,16 +25,16 @@ class NoInformationError(RmOampError):
     """Orthogonalization is undefined: the posterior variance did not decrease."""
 
 
-class DegenerateNleError(RmOampError):
-    """The nonlinear estimator returned a zero vector; no direction to rescale."""
-
-
 class NleError(RmOampError):
     """The denoiser produced unusable output (non-finite values, protocol fault)."""
 
 
-class IntegrationError(RmOampError):
-    """ODE integration hit a non-finite state."""
+class DegenerateNleError(NleError):
+    """The denoiser returned a zero vector: no direction to rescale."""
+
+
+class IntegrationError(NleError):
+    """A sampler's ODE integration hit a non-finite state."""
 
     def __init__(self, message, step=None):
         super().__init__(message)

@@ -17,7 +17,6 @@ Wall-clock time is tracked in memory but never written to CSV, keeping the
 emitted bytes deterministic for fixed seeds.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -276,22 +275,15 @@ def run_trial(cfg, trial):
     """One seeded transmit/receive cycle; returns (TrialResult, trace,
     estimate).
 
-    ``cfg.prior`` is either a spec, built for this trial and closed after
-    it, or a prior that :func:`run_experiment` built, used as it is and
-    left open for the next trial.
+    ``cfg.prior`` is a built prior, such as the one :func:`run_experiment`
+    builds and closes; it is used as it is and left open.
     """
     t0 = time.perf_counter()
     source, op, ch, y = _transmission(cfg, trial)
-    owned = not hasattr(cfg.prior, "denoise")
-    prior = build_prior(cfg.prior) if owned else cfg.prior
+    prior = cfg.prior
     nfe_before = getattr(prior, "eval_count", 0)
-    try:
-        estimate, trace = run_receiver(y, ch, op, prior,
-                                       cfg.receiver_config(trial),
-                                       truth=source)
-    finally:
-        if owned:
-            _close_prior(prior)
+    estimate, trace = run_receiver(y, ch, op, prior,
+                                   cfg.receiver_config(trial), truth=source)
 
     trial_psnr = psnr(source.values, estimate.values)
     trial_ssim = float("nan")
@@ -374,9 +366,8 @@ def sweep(grid, output_dir=None):
 
     def order_key(i):
         cfg = grid[i]
-        channel = json.dumps(cfg.channel, sort_keys=True,
-                             default=lambda o: np.asarray(o).tolist())
-        return (cfg.beta, channel, cfg.channel_seed, cfg.sigma, i)
+        return (cfg.beta, channel_mod.spec_key(cfg.channel), cfg.channel_seed,
+                cfg.sigma, i)
 
     order = sorted(range(len(grid)), key=order_key)
     lines = [",".join(SWEEP_COLUMNS)]

@@ -56,15 +56,10 @@ VARIANCE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class GaussMessage:
-    """A Gaussian belief: vector mean plus one scalar variance.
-
-    ``domain`` is "x" for the channel-input domain and "s" for the signal
-    domain.
-    """
+    """A Gaussian belief: vector mean plus one scalar variance."""
 
     mean: np.ndarray
     variance: float
-    domain: str = "x"
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -75,8 +70,6 @@ class GaussMessage:
         v = float(self.variance)
         if not np.isfinite(v) or v < 0:
             raise InvalidMessageError(f"variance must be finite and >= 0, got {v}")
-        if self.domain not in ("x", "s"):
-            raise InvalidMessageError(f"unknown domain {self.domain!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", v)
 
@@ -165,7 +158,7 @@ def init_state(y, n=None):
                       RuntimeWarning, stacklevel=2)
         variance = VARIANCE_FLOOR
     size = n if n is not None else m
-    return GaussMessage(mean=np.zeros(size), variance=variance, domain="x")
+    return GaussMessage(mean=np.zeros(size), variance=variance)
 
 
 def lmmse_estimate(ch, prior, y, r=None):
@@ -200,7 +193,7 @@ def lmmse_estimate(ch, prior, y, r=None):
     per_mode = np.where(denom > 0.0, v - (v * v) * (s * s) / safe, v)
     trace = float(np.sum(per_mode)) + (ch.n_cols - s.size) * v
     variance = max(trace / ch.m_rows, VARIANCE_FLOOR)
-    return GaussMessage(mean=mean, variance=variance, domain="x")
+    return GaussMessage(mean=mean, variance=variance)
 
 
 def orthogonalize(post, prior):
@@ -217,7 +210,7 @@ def orthogonalize(post, prior):
             f"posterior variance {v_post} did not improve on prior {v_pri}")
     v_orth = 1.0 / (1.0 / v_post - 1.0 / v_pri)
     mean = v_orth * (post.mean / v_post - prior.mean / v_pri)
-    return GaussMessage(mean=mean, variance=v_orth, domain=post.domain)
+    return GaussMessage(mean=mean, variance=v_orth)
 
 
 @dataclass(frozen=True)
@@ -251,7 +244,7 @@ def _residual_message(ch, mean, y):
     residual = float(np.dot(misfit, misfit))
     return CorrectedMessage(mean=mean,
                             variance=max(residual / ch.m_rows, VARIANCE_FLOOR),
-                            domain="x", residual=residual, misfit=misfit)
+                            residual=residual, misfit=misfit)
 
 
 def check_convergence(prev_mean, new_mean, tolerance):
@@ -270,12 +263,13 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
     Each iteration: LMMSE posterior -> extrinsic message -> signal-domain
     pseudo-AWGN observation -> matched denoiser with Monte Carlo divergence
     correction -> back-projection -> posterior rescaling -> convergence
-    check.  Denoiser faults (bridge failures, non-finite outputs) fall back
-    to the uncorrected extrinsic estimate for that iteration and are noted
-    on the trace record.  Any other stage error ends the loop gracefully;
-    the best estimate so far is returned with the error annotated on the
-    trace.  The final estimate is the zero-filled back-transform of the last
-    corrected mean.
+    check.  A denoiser fault (any :class:`NleError`: a bridge failure,
+    non-finite or zero output, a sampler state gone non-finite) makes the
+    extrinsic message the iteration's new mean and is noted on the trace
+    record.  Any other stage error ends the loop gracefully; the best
+    estimate so far is returned with the error annotated on the trace.  The
+    final estimate is the zero-filled back-transform of the last corrected
+    mean.
     """
     if cfg is None:
         cfg = ReceiverConfig()
@@ -289,40 +283,30 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
     # y - A mean of the current state; the cold-start mean is zero
     misfit = y
     truth_values = truth.values if truth is not None else None
+    kind = getattr(prior, "snr_kind", None)
 
     for it in range(1, cfg.max_iters + 1):
         v_pri = state.variance
         if it > 1 and v_pri <= VARIANCE_FLOOR:
             # residual already at the floor: nothing left to gain
             break
+        fault = None
         try:
             post = lmmse_estimate(ch, state, y, r=misfit)
             orth = orthogonalize(post, state)
-        except RmOampError as exc:
-            trace.error = f"iteration {it}: {exc}"
-            break
-
-        s_in = rm_inverse(op, orth.mean)
-        v_orth = orth.variance
-        kind = getattr(prior, "snr_kind", None)
-        t_star = snr_match(v_orth, kind) if kind is not None else float("nan")
-
-        fault = None
-        try:
+            s_in = rm_inverse(op, orth.mean)
+            v_orth = orth.variance
+            t_star = (snr_match(v_orth, kind) if kind is not None
+                      else float("nan"))
             phi0 = denoise(prior, s_in, t_star, v_orth)
             div = mc_divergence(prior, s_in, t_star, v_orth,
                                 seed=cfg.divergence_seed, phi0=phi0)
             s_est = sure_orthogonalize(phi0, div, s_in).phi_perp
+            new_state = mmse_correction(rm_forward(op, s_est), orth.mean,
+                                        ch, y)
         except NleError as exc:
-            # identity fallback: keep the extrinsic estimate for this pass
+            # raised only after orthogonalize: keep the extrinsic estimate
             fault = f"nle fault: {exc}"
-            s_est = s_in
-
-        x_tilde = rm_forward(op, s_est)
-        try:
-            new_state = mmse_correction(x_tilde, orth.mean, ch, y)
-        except DegenerateNleError as exc:
-            fault = f"degenerate nle: {exc}"
             new_state = _residual_message(ch, orth.mean, y)
         except RmOampError as exc:
             trace.error = f"iteration {it}: {exc}"

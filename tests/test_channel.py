@@ -182,8 +182,7 @@ class TestFastFactor:
                                    seed=ch.seed)
         rng = np.random.Generator(np.random.Philox(26))
         y = rng.standard_normal(64)
-        prior = rm.GaussMessage(mean=rng.standard_normal(64), variance=0.3,
-                                domain="x")
+        prior = rm.GaussMessage(mean=rng.standard_normal(64), variance=0.3)
         fast_post = rm.lmmse_estimate(ch, prior, y)
         dense_post = rm.lmmse_estimate(dense, prior, y)
         assert np.max(np.abs(fast_post.mean - dense_post.mean)) < 1e-10
@@ -540,8 +539,7 @@ class TestTdlFadingChannel:
                                  seed=ch.seed)
         rng = np.random.Generator(np.random.Philox(32))
         y = rng.standard_normal(40)
-        prior = rm.GaussMessage(mean=rng.standard_normal(40), variance=0.4,
-                                domain="x")
+        prior = rm.GaussMessage(mean=rng.standard_normal(40), variance=0.4)
         band_post = rm.lmmse_estimate(ch, prior, y)
         svd_post = rm.lmmse_estimate(svd, prior, y)
         assert np.max(np.abs(band_post.mean - svd_post.mean)) < 1e-10
@@ -570,7 +568,7 @@ class TestTdlFadingChannel:
                              doppler_rate=0.1, num_symbols=2)
         ch = rm.gen_tdl_fading_channel(16, p, sigma2=0.0, seed=35)
         assert ch.s[-1] < 1e-6
-        prior = rm.GaussMessage(mean=np.zeros(16), variance=1.0, domain="x")
+        prior = rm.GaussMessage(mean=np.zeros(16), variance=1.0)
         with pytest.raises(rm.SingularSystemError):
             rm.lmmse_estimate(ch, prior, np.ones(16))
         op = rm.build_rm_operator(16, 16, seed=36)

@@ -254,7 +254,9 @@ class TestRunExperiment:
         assert fields["faults"] == str(t.faults)
 
     def test_run_trial_returns_trace_and_estimate(self):
-        result, trace, estimate = run_trial(toy_config(), 0)
+        cfg = toy_config()
+        result, trace, estimate = run_trial(
+            replace(cfg, prior=build_prior(cfg.prior)), 0)
         assert result.trial == 0
         assert len(trace) == result.iterations
         assert estimate.n == 64

@@ -154,3 +154,9 @@ def test_compressed_trial_traces_every_operator_apply():
     assert count("rm_operator.build") == 1
     # transmit, then s_in, x~ and the PSNR per iteration, then the estimate
     assert count("rm_operator.apply") == 1 + 3 * iterations + 1
+    # the receiver's stages stay on the names the tracer wraps: one LMMSE
+    # step, one probe and one correction per iteration, and two denoiser
+    # calls (the output and the probe's)
+    for name in ("receiver.lmmse", "sure.divergence", "receiver.correction"):
+        assert count(name) == iterations
+    assert count("priors.denoise") == 2 * iterations
