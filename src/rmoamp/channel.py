@@ -394,8 +394,10 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     default) or ``"fast"`` (seeded sign/DCT/permutation scrambling kept as
     an :class:`OrthoFactor`: O(dim) state, O(dim log dim) per apply).
     """
-    if kappa < 1:
-        raise InvalidParameterError(f"condition number must be >= 1, got {kappa}")
+    if (np.ndim(kappa) != 0 or np.asarray(kappa).dtype.kind not in "iuf"
+            or not kappa >= 1):
+        raise InvalidParameterError(
+            f"condition number must be a number >= 1, got {kappa!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     make = {"haar": _haar_orthogonal, "fast": _fast_orthogonal}.get(factor_method)
     if make is None:

@@ -36,7 +36,7 @@ from .priors import (AnalyticGaussianPrior, DctSoftThresholdPrior,
                      GaussianMixturePrior)
 from .receiver import ReceiverConfig, lmmse_baseline, run_receiver
 from .rm_operator import build_rm_operator, rm_forward
-from .sources import load_source
+from .sources import load_source, spec_integer, spec_numbers
 
 __all__ = [
     "ExperimentConfig",
@@ -53,6 +53,9 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "RMOAMP_OUTPUT_ROOT"
 
+# how errors name a prior spec
+_PRIOR = "prior spec"
+
 TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "faults",
                  "error")
 SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
@@ -62,7 +65,11 @@ SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One grid point: source, compression, channel, prior, loop knobs, seeds."""
+    """One grid point: source, compression, channel, prior, loop knobs, seeds.
+
+    A number or count of the wrong type, a beta outside (0, 1], a negative
+    sigma or seed and a count below 1 raise InvalidParameterError.
+    """
 
     source: object
     beta: float = 1.0
@@ -79,12 +86,18 @@ class ExperimentConfig:
     output_dir: str = None
 
     def __post_init__(self):
+        fields = vars(self)
+        for key in ("beta", "sigma", "tolerance"):
+            spec_numbers(fields, key, 0, label="config")
+        for key in ("max_iters", "num_trials"):
+            spec_integer(fields, key, 1, label="config")
+        for key in ("operator_seed", "channel_seed", "noise_seed",
+                    "divergence_seed"):
+            spec_integer(fields, key, 0, label="config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
         if self.sigma < 0:
             raise InvalidParameterError("sigma must be >= 0")
-        if self.num_trials < 1:
-            raise InvalidParameterError("num_trials must be >= 1")
 
     def receiver_config(self, trial=0):
         return ReceiverConfig(
@@ -179,39 +192,61 @@ def build_prior(spec):
     ``predictor`` spec (kind "gaussian" with mean/var0) standing in for a
     trained network; external-bridge takes ``argv`` (spawn) or
     ``host``/``port`` (connect) plus optional ``timeout`` and ``snr_kind``.
+
+    A spec without one of its kind's keys, a number, count or list of
+    numbers of the wrong type, and a bridge that cannot be started or
+    reached raise InvalidParameterError naming the key or the cause.
     """
+    try:
+        return _prior_from_spec(spec)
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"prior spec has no {exc.args[0]!r} key") from None
+
+
+def _prior_from_spec(spec):
     kind = spec.get("kind", "analytic-gaussian")
     if kind == "analytic-gaussian":
-        return AnalyticGaussianPrior(mean=spec.get("mean", 0.0),
-                                     var0=spec.get("var0", 1.0))
+        return AnalyticGaussianPrior(
+            mean=spec_numbers(spec, "mean", 0, 0.0, _PRIOR),
+            var0=spec_numbers(spec, "var0", 0, 1.0, _PRIOR))
     if kind == "analytic-gauss-mixture":
-        return GaussianMixturePrior(weights=spec["weights"],
-                                    means=spec["means"],
-                                    variances=spec["variances"])
+        # the prior checks the shapes
+        return GaussianMixturePrior(
+            weights=spec_numbers(spec, "weights", None, label=_PRIOR),
+            means=spec_numbers(spec, "means", None, label=_PRIOR),
+            variances=spec_numbers(spec, "variances", None, label=_PRIOR))
     if kind == "dct-soft-threshold":
         return DctSoftThresholdPrior()
     if kind == "ddim":
         predictor = _build_predictor(spec.get("predictor", {}), "ddim")
         if "alpha_bar" in spec:
-            schedule = DdimSchedule(np.asarray(spec["alpha_bar"]))
+            schedule = DdimSchedule(np.asarray(
+                spec_numbers(spec, "alpha_bar", 1, label=_PRIOR)))
         else:
             schedule = default_ddim_schedule(
-                num_steps=spec.get("num_steps", 50),
-                alpha_start=spec.get("alpha_start", 0.999),
-                alpha_end=spec.get("alpha_end", 0.005))
+                num_steps=spec_integer(spec, "num_steps", 2, 50, _PRIOR),
+                alpha_start=spec_numbers(spec, "alpha_start", 0, 0.999,
+                                         _PRIOR),
+                alpha_end=spec_numbers(spec, "alpha_end", 0, 0.005, _PRIOR))
         return DdimPrior(predictor, schedule=schedule,
                          mode=spec.get("mode", "trajectory"))
     if kind == "flow-matching":
         predictor = _build_predictor(spec.get("predictor", {}), "flow-matching")
-        return FlowMatchingPrior(predictor,
-                                 num_steps=spec.get("num_steps", 20))
+        return FlowMatchingPrior(predictor, num_steps=spec_integer(
+            spec, "num_steps", 1, 20, _PRIOR))
     if kind == "external-bridge":
-        timeout = spec.get("timeout", 5.0)
-        if "argv" in spec:
-            client = BridgeClient.spawn(spec["argv"], timeout=timeout)
-        else:
-            client = BridgeClient.connect(spec["host"], int(spec["port"]),
-                                          timeout=timeout)
+        timeout = spec_numbers(spec, "timeout", 0, 5.0, _PRIOR)
+        try:
+            if "argv" in spec:
+                client = BridgeClient.spawn(spec["argv"], timeout=timeout)
+            else:
+                client = BridgeClient.connect(
+                    spec["host"], spec_integer(spec, "port", 0, label=_PRIOR),
+                    timeout=timeout)
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"cannot start the prior's bridge: {exc}") from None
         return BridgePrior(client, snr_kind=spec.get("snr_kind",
                                                      "flow-matching"))
     raise InvalidParameterError(f"unknown prior kind {kind!r}")
@@ -221,8 +256,8 @@ def _build_predictor(spec, sampler_kind):
     kind = spec.get("kind", "gaussian")
     if kind != "gaussian":
         raise InvalidParameterError(f"unknown predictor kind {kind!r}")
-    mean = spec.get("mean", 0.0)
-    var0 = spec.get("var0", 1.0)
+    mean = spec_numbers(spec, "mean", 0, 0.0, "predictor spec")
+    var0 = spec_numbers(spec, "var0", 0, 1.0, "predictor spec")
     if sampler_kind == "ddim":
         return gaussian_eps_predictor(mean=mean, var0=var0)
     return gaussian_velocity_predictor(mean=mean, var0=var0)

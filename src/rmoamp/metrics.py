@@ -28,13 +28,28 @@ def psnr(truth, estimate, peak=1.0, ceiling=PSNR_CEILING):
     return float(min(10.0 * np.log10(peak * peak / mse), ceiling))
 
 
+def _gaussian_kernel(size, sigma):
+    """Normalized 1-D Gaussian of ``size`` taps; its outer product with
+    itself is :func:`gaussian_window`."""
+    coords = np.arange(size) - (size - 1) / 2.0
+    g = np.exp(-coords ** 2 / (2.0 * sigma * sigma))
+    return g / g.sum()
+
+
 def gaussian_window(size=11, sigma=1.5):
     """Normalized 2-D Gaussian kernel used by :func:`ssim`."""
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-coords ** 2 / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    g = _gaussian_kernel(size, sigma)
+    return np.outer(g, g)
+
+
+def _filter_valid(images, g):
+    """Separable "valid" filtering of a stack of images over its last two
+    axes: one pass of the 1-D kernel ``g`` along the last axis, then one
+    along the axis before it.  ``g`` is symmetric, so this correlation is
+    also the convolution."""
+    window = np.lib.stride_tricks.sliding_window_view
+    rows = window(images, g.size, axis=-1) @ g
+    return window(rows, g.size, axis=-2) @ g
 
 
 def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
@@ -42,10 +57,10 @@ def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
     """Mean structural similarity between two 2-D images in [0, peak].
 
     Local statistics use an 11x11 Gaussian window (sigma 1.5) over valid
-    positions.  Images smaller than the window fall back to a single SSIM
-    over global statistics.  ``scipy.signal`` is imported on the first
-    windowed call, which keeps it (and the ``scipy.stats`` it loads) out of
-    ``import rmoamp``.
+    positions.  The window is separable, so the five local moments are
+    filtered together with numpy alone, one 1-D pass along each axis.
+    Images smaller than the window fall back to a single SSIM over global
+    statistics.
     """
     x = np.asarray(truth, dtype=np.float64)
     y = np.asarray(estimate, dtype=np.float64)
@@ -63,14 +78,12 @@ def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
         return float((2 * mu_x * mu_y + c1) * (2 * cov + c2)
                      / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
 
-    from scipy.signal import convolve2d
-
-    w = gaussian_window(window_size, window_sigma)
-    mu_x = convolve2d(x, w, mode="valid")
-    mu_y = convolve2d(y, w, mode="valid")
-    var_x = convolve2d(x * x, w, mode="valid") - mu_x ** 2
-    var_y = convolve2d(y * y, w, mode="valid") - mu_y ** 2
-    cov = convolve2d(x * y, w, mode="valid") - mu_x * mu_y
+    g = _gaussian_kernel(window_size, window_sigma)
+    mu_x, mu_y, xx, yy, xy = _filter_valid(
+        np.stack((x, y, x * x, y * y, x * y)), g)
+    var_x = xx - mu_x ** 2
+    var_y = yy - mu_y ** 2
+    cov = xy - mu_x * mu_y
     ssim_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)
                 / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
     return float(ssim_map.mean())

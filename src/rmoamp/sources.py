@@ -124,27 +124,32 @@ def load_source(spec):
         ) from None
 
 
-def _integer(spec, key, low):
-    value = spec[key]
+def spec_integer(spec, key, low, default=None, label="source spec"):
+    """``spec[key]``, or ``default`` when given and the key is absent, when
+    it is an integer >= ``low``; ``label`` names the spec in the error."""
+    value = spec[key] if default is None else spec.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low):
         raise InvalidParameterError(
-            f"source spec {key!r} must be an integer >= {low}, got {value!r}")
+            f"{label} {key!r} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
-def _numbers(spec, key, ndim, default=None):
+def spec_numbers(spec, key, ndim, default=None, label="source spec"):
     """``spec[key]``, or ``default`` when given and the key is absent, when
-    it is a number (``ndim`` 0) or a flat list of numbers (``ndim`` 1)."""
+    it is a number (``ndim`` 0), a flat list of numbers (``ndim`` 1) or
+    numbers of any shape (``ndim`` None); ``label`` names the spec in the
+    error."""
     value = spec[key] if default is None else spec.get(key, default)
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged list
         array = None
-    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
-        what = "a number" if ndim == 0 else "a list of numbers"
+    if (array is None or array.dtype.kind not in "iuf"
+            or ndim not in (None, array.ndim)):
+        what = {0: "a number", 1: "a list of numbers", None: "numbers"}[ndim]
         raise InvalidParameterError(
-            f"source spec {key!r} must be {what}, got {value!r}")
+            f"{label} {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -158,20 +163,20 @@ def _from_spec(spec):
         mat = read_matrix(spec["path"])
         return SourceSignal(mat.ravel(), shape=mat.shape)
     if kind == "gaussian":
-        return synthetic_gaussian(_integer(spec, "n", 1),
-                                  _integer(spec, "seed", 0),
-                                  mean=_numbers(spec, "mean", 0, 0.0),
-                                  std=_numbers(spec, "std", 0, 1.0))
+        return synthetic_gaussian(spec_integer(spec, "n", 1),
+                                  spec_integer(spec, "seed", 0),
+                                  mean=spec_numbers(spec, "mean", 0, 0.0),
+                                  std=spec_numbers(spec, "std", 0, 1.0))
     if kind == "gauss-mixture":
-        return synthetic_gauss_mixture(_integer(spec, "n", 1),
-                                       _integer(spec, "seed", 0),
-                                       _numbers(spec, "weights", 1),
-                                       _numbers(spec, "means", 1),
-                                       _numbers(spec, "stds", 1))
+        return synthetic_gauss_mixture(spec_integer(spec, "n", 1),
+                                       spec_integer(spec, "seed", 0),
+                                       spec_numbers(spec, "weights", 1),
+                                       spec_numbers(spec, "means", 1),
+                                       spec_numbers(spec, "stds", 1))
     if kind == "piecewise-constant":
-        return synthetic_piecewise_constant(_integer(spec, "n", 1),
-                                            _integer(spec, "seed", 0),
-                                            _integer(spec, "num_pieces", 1))
+        return synthetic_piecewise_constant(
+            spec_integer(spec, "n", 1), spec_integer(spec, "seed", 0),
+            spec_integer(spec, "num_pieces", 1))
     raise InvalidParameterError(f"unknown source kind {kind!r}")
 
 

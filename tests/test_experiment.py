@@ -344,6 +344,57 @@ class TestBadSource:
         assert "Traceback" not in proc.stderr
 
 
+BAD_PRIORS = {
+    "bridge-no-host": ({"kind": "external-bridge"},
+                       "prior spec has no 'host' key"),
+    "mixture-no-weights": ({"kind": "analytic-gauss-mixture",
+                            "means": [0.0, 0.0], "variances": [1.0, 1.0]},
+                           "prior spec has no 'weights' key"),
+    "word-weights": ({"kind": "analytic-gauss-mixture", "weights": "ab",
+                      "means": [0.0, 0.0], "variances": [1.0, 1.0]},
+                     "prior spec 'weights' must be numbers, got 'ab'"),
+    "word-var0": ({"kind": "analytic-gaussian", "var0": "x"},
+                  "'var0' must be a number, got 'x'"),
+    "word-ddim-num-steps": ({"kind": "ddim", "num_steps": "x"},
+                            "'num_steps' must be an integer >= 2, got 'x'"),
+    "missing-bridge-program": ({"kind": "external-bridge",
+                                "argv": ["/nonexistent/denoiser"]},
+                               "cannot start the prior's bridge"),
+}
+
+
+class TestBadPrior:
+    """A malformed prior spec fails its trials; it does not abort the run."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_PRIORS))
+    def test_one_error_row_per_trial(self, name):
+        spec, message = BAD_PRIORS[name]
+        report = run_experiment(toy_config(prior=spec, num_trials=2))
+        assert [t.trial for t in report.trials] == [0, 1]
+        assert report.num_errors == 2
+        assert all(message in t.error for t in report.trials)
+
+    @pytest.mark.parametrize("name", sorted(BAD_PRIORS))
+    def test_cli_run_exits_1_without_traceback(self, name, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"source": toy_config().source,
+                                    "prior": BAD_PRIORS[name][0],
+                                    "num_trials": 2, "max_iters": 2}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmoamp.cli", "run", str(path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+
+def test_word_kappa_gives_error_rows():
+    report = run_experiment(toy_config(
+        channel={"kind": "conditioned", "kappa": "x"}, num_trials=2))
+    assert report.num_errors == 2
+    assert all("condition number must be a number >= 1, got 'x'" in t.error
+               for t in report.trials)
+
+
 @pytest.fixture
 def spawned(monkeypatch):
     """Child processes started through BridgeClient.spawn, in order."""
@@ -579,6 +630,16 @@ class TestCli:
         path.write_text("bogus=1\n")
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("rmoamp:")
+
+    @pytest.mark.parametrize("key,what", [("sigma", "a number"),
+                                          ("beta", "a number"),
+                                          ("num_trials", "an integer >= 1")])
+    def test_word_config_value_exits_2(self, key, what, tmp_path, capsys):
+        code = main(["run", self.write_config(tmp_path),
+                     "--set", f"{key}=abc"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"rmoamp: config {key!r} must be {what}, got 'abc'\n")
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2

@@ -118,6 +118,25 @@ class TestSsim:
                     / ((mx ** 2 + my ** 2 + c1) * (vx + vy + c2)))
         assert ssim(x, y) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(11, 11), (13, 40), (256, 256)])
+    def test_matches_convolve2d_reference(self, shape):
+        from scipy.signal import convolve2d
+
+        rng = np.random.Generator(np.random.Philox(5))
+        x = rng.uniform(0, 1, size=shape)
+        y = np.clip(x + 0.1 * rng.standard_normal(shape), 0, 1)
+        w = gaussian_window()
+        mu_x = convolve2d(x, w, mode="valid")
+        mu_y = convolve2d(y, w, mode="valid")
+        var_x = convolve2d(x * x, w, mode="valid") - mu_x ** 2
+        var_y = convolve2d(y * y, w, mode="valid") - mu_y ** 2
+        cov = convolve2d(x * y, w, mode="valid") - mu_x * mu_y
+        c1, c2 = 0.01 ** 2, 0.03 ** 2
+        expected = np.mean((2 * mu_x * mu_y + c1) * (2 * cov + c2)
+                           / ((mu_x ** 2 + mu_y ** 2 + c1)
+                              * (var_x + var_y + c2)))
+        assert ssim(x, y) == pytest.approx(expected, abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(InvalidDimensionError):
             ssim(np.zeros((4, 4)), np.zeros((5, 4)))
@@ -168,9 +187,30 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     # import rmoamp loads no submodule (each public name loads its own on
     # first access), so no scipy module either.  A fading channel brings in
     # scipy.linalg and scipy.special on its first build, a haar channel
-    # scipy.linalg on its first apply, ssim scipy.signal on its first
-    # windowed call, rayleigh_fit_statistic scipy.stats
+    # scipy.linalg on its first apply, rayleigh_fit_statistic scipy.stats;
+    # ssim needs numpy alone
     assert modules_after("import rmoamp", "scipy") == "[]"
+
+
+def test_image_run_loads_no_scipy_signal_or_stats(tmp_path):
+    # a windowed ssim, then what the benchmark's image points run: a 32x32
+    # PGM on a fading channel with the DCT threshold prior, scored by ssim
+    path = str(tmp_path / "img.pgm")
+    code = f"""
+import numpy as np
+import rmoamp as rm
+rng = np.random.Generator(np.random.Philox(1))
+img = rng.uniform(0, 1, size=(32, 32))
+rm.ssim(img, np.clip(img + 0.1 * rng.standard_normal(img.shape), 0, 1))
+rm.write_pgm({path!r}, img)
+report = rm.run_experiment(rm.ExperimentConfig(
+    source={path!r}, sigma=0.05, channel={{"kind": "tdl-fading"}},
+    prior={{"kind": "dct-soft-threshold"}}))
+assert np.isfinite(report.trials[0].ssim)
+"""
+    loaded = modules_after(code, "scipy")
+    assert "'scipy.signal'" not in loaded
+    assert "'scipy.stats'" not in loaded
 
 
 def test_import_loads_no_submodule():
