@@ -42,8 +42,8 @@ _SUBMODULE_EXPORTS = {
                   "ddim_reverse_step", "ddim_x0_predict",
                   "default_ddim_schedule", "fm_integrate",
                   "gaussian_eps_predictor", "gaussian_velocity_predictor",
-                  "map_alpha_to_step", "pointmass_eps_predictor",
-                  "pointmass_velocity_predictor", "snr_match"),
+                  "pointmass_eps_predictor", "pointmass_velocity_predictor",
+                  "snr_match"),
     "sure": ("SureResult", "mc_divergence", "probe_scale",
              "sure_orthogonalize"),
     "receiver": ("GaussMessage", "IterationRecord", "IterationTrace",

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      SingularSystemError)
 from .rm_operator import OrthoFactor, _draw_scramble
+from .sources import spec_integer, spec_numbers
 
 __all__ = [
     "ChannelInstance",
@@ -269,8 +270,9 @@ class FadingProfile:
             raise InvalidParameterError("tap_powers must be nonnegative, one per tap")
         if not np.isclose(powers.sum(), 1.0, atol=1e-9):
             raise InvalidParameterError("tap_powers must sum to 1")
-        if self.doppler_rate < 0:
-            raise InvalidParameterError("doppler_rate must be >= 0")
+        if not self.doppler_rate >= 0:  # NaN too
+            raise InvalidParameterError(
+                f"doppler_rate must be >= 0, got {self.doppler_rate!r}")
         if self.num_symbols < 1:
             raise InvalidParameterError("num_symbols must be >= 1")
         object.__setattr__(self, "tap_powers", powers)
@@ -399,7 +401,9 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
         raise InvalidParameterError(
             f"condition number must be a number >= 1, got {kappa!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    make = {"haar": _haar_orthogonal, "fast": _fast_orthogonal}.get(factor_method)
+    # a list or dict is not a name, and unhashable
+    make = {"haar": _haar_orthogonal, "fast": _fast_orthogonal}.get(
+        factor_method if isinstance(factor_method, str) else None)
     if make is None:
         raise InvalidParameterError(f"unknown factor_method {factor_method!r}")
     return ChannelInstance(u=OrthoFactor(dim),
@@ -505,11 +509,17 @@ def transmit(ch, x, noise_seed):
 
 
 def fading_profile(spec):
-    """FadingProfile from a spec dict; missing keys take the 3-tap defaults."""
-    return FadingProfile(num_taps=spec.get("num_taps", 3),
-                         tap_powers=spec.get("tap_powers", (0.6, 0.3, 0.1)),
-                         doppler_rate=spec.get("doppler_rate", 0.01),
-                         num_symbols=spec.get("num_symbols", 16))
+    """FadingProfile from a spec dict; missing keys take the 3-tap defaults.
+
+    A count or number of the wrong type raises InvalidParameterError naming
+    the key.
+    """
+    label = "channel spec"
+    return FadingProfile(
+        num_taps=spec_integer(spec, "num_taps", 1, 3, label),
+        tap_powers=spec_numbers(spec, "tap_powers", 1, (0.6, 0.3, 0.1), label),
+        doppler_rate=spec_numbers(spec, "doppler_rate", 0, 0.01, label),
+        num_symbols=spec_integer(spec, "num_symbols", 1, 16, label))
 
 
 # (key, channel) of the last build_channel miss, or None
@@ -550,8 +560,12 @@ def build_channel(spec, dim, sigma2, seed):
     noise levels builds each channel once.  The factor arrays are therefore
     shared and read-only.  The last channel built stays referenced until a
     call with a different key; a miss drops it before building the next.
+    A spec that is not a dict raises InvalidParameterError.
     """
     global _last_built
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(
+            f"channel must be a spec dict, got {spec!r}")
     key = (spec_key(spec), dim, seed)
     last = _last_built
     if last is not None and last[0] == key:

@@ -31,7 +31,6 @@ __all__ = [
     "snr_match",
     "DdimSchedule",
     "default_ddim_schedule",
-    "map_alpha_to_step",
     "ddim_x0_predict",
     "ddim_reverse_step",
     "fm_integrate",
@@ -88,16 +87,6 @@ def default_ddim_schedule(num_steps=50, alpha_start=0.999, alpha_end=0.005):
     return DdimSchedule(np.geomspace(alpha_start, alpha_end, num_steps))
 
 
-def map_alpha_to_step(target_alpha_bar, schedule):
-    """Index of the schedule entry nearest to target_alpha_bar.
-
-    Ties break toward the noisier (larger-index) entry; targets outside the
-    grid clamp to the nearest end.
-    """
-    d = np.abs(schedule.alpha_bar - float(target_alpha_bar))
-    return int(d.size - 1 - np.argmin(d[::-1]))
-
-
 def ddim_x0_predict(s_t, eps_hat, alpha_bar_t):
     """Invert the forward marginal: s0_hat = (s_t - sqrt(1-ab) eps) / sqrt(ab)."""
     if not 0 < alpha_bar_t <= 1:
@@ -142,10 +131,11 @@ def fm_integrate(z0, predictor, t_start, t_end, num_steps):
 class DdimPrior:
     """Denoiser built from a DDIM noise predictor.
 
-    snr matching gives a target alpha_bar; the input is scaled onto the
-    nearest schedule entry and either rolled back to the cleanest entry with
-    deterministic reverse steps (mode "trajectory", the default) or inverted
-    in a single x0 prediction (mode "x0").
+    snr matching gives the level alpha_bar*; the input is scaled onto it
+    exactly and either rolled back through the schedule entries cleaner than
+    alpha_bar* with deterministic reverse steps (mode "trajectory", the
+    default) or inverted in a single x0 prediction at alpha_bar* (mode "x0"),
+    which for an exact predictor is Tweedie's posterior mean.
     """
 
     snr_kind = "ddim"
@@ -163,14 +153,15 @@ class DdimPrior:
         return np.asarray(self.predictor(s_t, ab), dtype=np.float64)
 
     def denoise(self, s_in, t_star, v):
-        ab = self.schedule.alpha_bar
-        k = map_alpha_to_step(t_star, self.schedule)
-        s_t = np.sqrt(ab[k]) * np.asarray(s_in, dtype=np.float64)
-        if self.mode == "x0":
-            return ddim_x0_predict(s_t, self._eps(s_t, ab[k]), ab[k])
-        for j in range(k, 0, -1):
-            s_t = ddim_reverse_step(s_t, self._eps(s_t, ab[j]), ab[j], ab[j - 1])
-        return ddim_x0_predict(s_t, self._eps(s_t, ab[0]), ab[0])
+        level = float(t_star)
+        s_t = np.sqrt(level) * np.asarray(s_in, dtype=np.float64)
+        if self.mode == "trajectory":
+            ab = self.schedule.alpha_bar
+            for cleaner in ab[ab > level][::-1]:
+                s_t = ddim_reverse_step(s_t, self._eps(s_t, level), level,
+                                        cleaner)
+                level = cleaner
+        return ddim_x0_predict(s_t, self._eps(s_t, level), level)
 
 
 class FlowMatchingPrior:
@@ -178,31 +169,29 @@ class FlowMatchingPrior:
 
     snr matching gives the start time t*; the input is scaled onto the path
     as z = t* s_in and the probability-flow ODE is integrated forward to
-    t_end (just short of 1 to keep analytic point-mass velocities finite).
+    ``T_END``, just short of 1 to keep analytic point-mass velocities finite.
     """
 
     snr_kind = "flow-matching"
+    T_END = 1.0 - 1e-3
 
-    def __init__(self, predictor, num_steps=20, t_end=1.0 - 1e-3):
-        if not 0 < t_end <= 1:
-            raise InvalidParameterError("t_end must be in (0, 1]")
+    def __init__(self, predictor, num_steps=20):
         if num_steps < 1:
             raise InvalidParameterError("num_steps must be >= 1")
         self.predictor = predictor
         self.num_steps = num_steps
-        self.t_end = float(t_end)
         self.eval_count = 0
 
     def denoise(self, s_in, t_star, v):
         z = float(t_star) * np.asarray(s_in, dtype=np.float64)
-        if t_star >= self.t_end:
+        if t_star >= self.T_END:
             return z / max(t_star, 1e-12)
 
         def counted(state, t):
             self.eval_count += 1
             return self.predictor(state, t)
 
-        return fm_integrate(z, counted, float(t_star), self.t_end,
+        return fm_integrate(z, counted, float(t_star), self.T_END,
                             self.num_steps)
 
 

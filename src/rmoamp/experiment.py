@@ -96,8 +96,8 @@ class ExperimentConfig:
             spec_integer(fields, key, 0, label="config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if self.sigma < 0:
-            raise InvalidParameterError("sigma must be >= 0")
+        if not self.sigma >= 0:  # NaN too
+            raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
 
     def receiver_config(self, trial=0):
         return ReceiverConfig(
@@ -176,12 +176,16 @@ class MetricReport:
     def sweep_row(self):
         cfg = self.config
         return [repr(float(cfg.beta)), repr(float(cfg.sigma)),
-                str(cfg.prior.get("kind", "?")),
-                str(cfg.channel.get("kind", "?")),
+                _kind(cfg.prior), _kind(cfg.channel),
                 repr(self.mean_psnr), repr(self.std_psnr),
                 repr(self.mean_ssim), repr(self.std_ssim),
                 repr(self.mean_iterations), repr(self.mean_nfe),
                 str(len(self.trials)), str(self.num_errors)]
+
+
+def _kind(spec):
+    """The ``kind`` of a spec dict, or ``?``."""
+    return str(spec.get("kind", "?")) if isinstance(spec, dict) else "?"
 
 
 def build_prior(spec):
@@ -193,10 +197,13 @@ def build_prior(spec):
     trained network; external-bridge takes ``argv`` (spawn) or
     ``host``/``port`` (connect) plus optional ``timeout`` and ``snr_kind``.
 
-    A spec without one of its kind's keys, a number, count or list of
-    numbers of the wrong type, and a bridge that cannot be started or
-    reached raise InvalidParameterError naming the key or the cause.
+    A spec that is not a dict, a spec without one of its kind's keys, a
+    number, count or list of numbers of the wrong type, and a bridge that
+    cannot be started or reached raise InvalidParameterError naming the key
+    or the cause.
     """
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"prior must be a spec dict, got {spec!r}")
     try:
         return _prior_from_spec(spec)
     except KeyError as exc:

@@ -97,13 +97,14 @@ def read_pgm(path):
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy(), maxval
 
 
-def write_pgm(path, img, maxval=255):
-    """Write a uint8 (or [0,1] float, scaled) image as binary PGM."""
+def write_pgm(path, img):
+    """Write a uint8 (or [0,1] float, scaled) image as binary PGM with
+    maxval 255."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise InvalidParameterError("PGM output expects a 2-D image")
     if img.dtype != np.uint8:
-        img = np.clip(np.round(img * maxval), 0, maxval).astype(np.uint8)
+        img = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n%d\n" % (img.shape[1], img.shape[0], maxval))
+        fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(img.tobytes())

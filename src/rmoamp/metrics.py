@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidDimensionError
 
 __all__ = ["psnr", "ssim", "PSNR_CEILING", "gaussian_window"]
 
@@ -10,22 +10,20 @@ __all__ = ["psnr", "ssim", "PSNR_CEILING", "gaussian_window"]
 PSNR_CEILING = 99.0
 
 
-def psnr(truth, estimate, peak=1.0, ceiling=PSNR_CEILING):
-    """Peak signal-to-noise ratio 10 log10(peak^2 / MSE) in dB.
+def psnr(truth, estimate):
+    """Peak signal-to-noise ratio 10 log10(1 / MSE) in dB at unit peak.
 
-    Zero MSE (and anything above it) reports the declared ceiling.
+    Zero MSE (and anything above it) reports ``PSNR_CEILING``.
     """
     truth = np.asarray(truth, dtype=np.float64).ravel()
     estimate = np.asarray(estimate, dtype=np.float64).ravel()
     if truth.shape != estimate.shape:
         raise InvalidDimensionError(
             f"length mismatch: {truth.size} vs {estimate.size}")
-    if peak <= 0:
-        raise InvalidParameterError("peak must be > 0")
     mse = float(np.mean((truth - estimate) ** 2))
     if mse == 0.0:
-        return float(ceiling)
-    return float(min(10.0 * np.log10(peak * peak / mse), ceiling))
+        return PSNR_CEILING
+    return float(min(10.0 * np.log10(1.0 / mse), PSNR_CEILING))
 
 
 def _gaussian_kernel(size, sigma):
@@ -52,9 +50,8 @@ def _filter_valid(images, g):
     return window(rows, g.size, axis=-2) @ g
 
 
-def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
-         window_size=11, window_sigma=1.5):
-    """Mean structural similarity between two 2-D images in [0, peak].
+def ssim(truth, estimate):
+    """Mean structural similarity between two 2-D images in [0, 1].
 
     Local statistics use an 11x11 Gaussian window (sigma 1.5) over valid
     positions.  The window is separable, so the five local moments are
@@ -68,17 +65,17 @@ def ssim(truth, estimate, k1=0.01, k2=0.03, peak=1.0,
         raise InvalidDimensionError("ssim expects 2-D images")
     if x.shape != y.shape:
         raise InvalidDimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    # (k1 L)^2 and (k2 L)^2 at k1 = 0.01, k2 = 0.03 and peak L = 1
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    g = _gaussian_kernel(11, 1.5)
 
-    if min(x.shape) < window_size:
+    if min(x.shape) < g.size:
         mu_x, mu_y = x.mean(), y.mean()
         var_x, var_y = x.var(), y.var()
         cov = float(np.mean((x - mu_x) * (y - mu_y)))
         return float((2 * mu_x * mu_y + c1) * (2 * cov + c2)
                      / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
 
-    g = _gaussian_kernel(window_size, window_sigma)
     mu_x, mu_y, xx, yy, xy = _filter_valid(
         np.stack((x, y, x * x, y * y, x * y)), g)
     var_x = xx - mu_x ** 2

@@ -30,36 +30,6 @@ __all__ = [
 _VAR_TINY = 1e-30
 
 
-def _logsumexp_rows(a):
-    """``log(sum(exp(a), axis=0))`` for a 2-D array, kept as a row.
-
-    Component-major: ``a`` is ``(K, n)``, one row per mixture component, and
-    the reduction runs down the rows.  The arithmetic is that of
-    ``scipy.special.logsumexp(a.T, axis=1, keepdims=True)``: with ``mx`` the
-    column maximum and ``count`` how many entries attain it, the result is
-    ``log1p(rest / count) + log(count) + mx``, where ``rest`` sums
-    ``exp(a - mx)`` over the other entries; a column where that is not
-    finite falls back to ``log(sum(exp(a)))``.  numpy adds the rows of a
-    C-contiguous array one after another, as it adds up to 7 entries of a
-    contiguous row, so for K <= 7 the two agree to the bit; from 8
-    components on scipy's pairwise sum groups the entries differently and
-    the results differ by a few ulp.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mx = np.max(a, axis=0, keepdims=True)
-        is_max = a == mx
-        count = np.sum(is_max, axis=0, keepdims=True, dtype=a.dtype)
-        rest = np.exp(np.where(is_max, -np.inf, a) - mx)
-        rest = np.sum(rest, axis=0, keepdims=True, dtype=rest.dtype)
-        rest = np.where(rest == 0, rest, rest / count)
-        out = np.log1p(rest) + np.log(count) + mx
-        finite = np.isfinite(out)
-        if not finite.all():
-            naive = np.log(np.sum(np.exp(a), axis=0, keepdims=True))
-            out = np.where(finite, out, naive)
-    return out
-
-
 def denoise(prior, s_in, t_star, v):
     """Evaluate a prior's denoiser and validate the output.
 
@@ -131,14 +101,17 @@ class GaussianMixturePrior:
         z = np.asarray(s_in, dtype=np.float64)[np.newaxis, :]
         means = self.means[:, np.newaxis]
         total_var = np.maximum(self.variances + v, _VAR_TINY)[:, np.newaxis]
-        log_resp = (np.log(np.maximum(self.weights, _VAR_TINY))[:, np.newaxis]
-                    - 0.5 * np.log(total_var)
+        with np.errstate(divide="ignore"):
+            # a zero weight is -inf: that component is never responsible
+            log_weights = np.log(self.weights)[:, np.newaxis]
+        log_resp = (log_weights - 0.5 * np.log(total_var)
                     - 0.5 * (z - means) ** 2 / total_var)
-        log_resp -= _logsumexp_rows(log_resp)
-        resp = np.exp(log_resp)
+        # unnormalized responsibilities: one softmax down the components,
+        # shifted so each column's largest is exp(0) = 1
+        resp = np.exp(log_resp - log_resp.max(axis=0))
         gain = self.variances[:, np.newaxis] / total_var
         comp_mean = means + gain * (z - means)
-        return np.sum(resp * comp_mean, axis=0)
+        return np.sum(resp * comp_mean, axis=0) / np.sum(resp, axis=0)
 
 
 def universal_threshold(v, n):
@@ -149,23 +122,19 @@ def universal_threshold(v, n):
 class DctSoftThresholdPrior:
     """Sparsity prior: soft-threshold the DCT coefficients of the input.
 
-    The DC coefficient is passed through untouched.  ``rule(v, n)`` maps the
-    noise variance and length to the threshold; the default is the universal
-    threshold sqrt(2 ln(n) v).  :mod:`rmoamp.rm_operator`, which holds the
-    DCT, is imported on first use.
+    The DC coefficient is passed through untouched.  The threshold is the
+    universal threshold sqrt(2 ln(n) v).  :mod:`rmoamp.rm_operator`, which
+    holds the DCT, is imported on first use.
     """
 
     snr_kind = None
     eval_count = 0
 
-    def __init__(self, rule=universal_threshold):
-        self.rule = rule
-
     def denoise(self, s_in, t_star, v):
         from .rm_operator import dct_transform
 
         c = dct_transform(np.asarray(s_in, dtype=np.float64))
-        lam = float(self.rule(v, c.size))
+        lam = float(universal_threshold(v, c.size))
         soft = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
         soft[0] = c[0]
         return dct_transform(soft, inverse=True)

@@ -23,7 +23,7 @@ __all__ = ["SureResult", "mc_divergence", "sure_orthogonalize", "probe_scale"]
 
 
 def probe_scale(v):
-    """Default finite-difference step 1e-3 * sqrt(v), floored at 1e-8."""
+    """Finite-difference step 1e-3 * sqrt(v), floored at 1e-8."""
     return max(1e-3 * np.sqrt(max(v, 0.0)), 1e-8)
 
 
@@ -36,21 +36,19 @@ def _probe(seed, n):
     return w
 
 
-def mc_divergence(prior, s_in, t_star, v, eps_fd=None, seed=0, phi0=None):
+def mc_divergence(prior, s_in, t_star, v, seed=0, phi0=None):
     """One-probe Monte Carlo estimate of the normalized divergence.
 
-    Draws w ~ N(0, I) and returns <w, phi(s_in + eps*w) - phi(s_in)> / (eps*N).
-    Pass ``phi0`` to reuse an already computed phi(s_in) and save one denoiser
-    call.  Deterministic in the integer ``seed``; the probe for each
-    ``(seed, N)`` is drawn once and cached.
+    Draws w ~ N(0, I) and returns <w, phi(s_in + eps*w) - phi(s_in)> / (eps*N)
+    with eps = ``probe_scale(v)``.  Pass ``phi0`` to reuse an already computed
+    phi(s_in) and save one denoiser call.  Deterministic in the integer
+    ``seed``; the probe for each ``(seed, N)`` is drawn once and cached.
     """
     s_in = np.asarray(s_in, dtype=np.float64)
     n = s_in.size
     if n == 0:
         raise InvalidParameterError("empty input")
-    eps = float(eps_fd) if eps_fd is not None else probe_scale(v)
-    if eps <= 0:
-        raise InvalidParameterError("probe step must be > 0")
+    eps = probe_scale(v)
     w = _probe(seed, n)
     if phi0 is None:
         phi0 = denoise(prior, s_in, t_star, v)

@@ -15,7 +15,6 @@ from rmoamp import (
     fm_integrate,
     gaussian_eps_predictor,
     gaussian_velocity_predictor,
-    map_alpha_to_step,
     pointmass_eps_predictor,
     pointmass_velocity_predictor,
     snr_match,
@@ -67,20 +66,6 @@ class TestSchedule:
         with pytest.raises(InvalidParameterError):
             default_ddim_schedule(num_steps=1)
 
-    def test_map_exact_hit(self):
-        sched = DdimSchedule(np.array([0.8, 0.6, 0.4]))
-        assert map_alpha_to_step(0.6, sched) == 1
-
-    def test_map_tie_breaks_noisier(self):
-        sched = DdimSchedule(np.array([0.8, 0.6, 0.4]))
-        assert map_alpha_to_step(0.7, sched) == 1
-        assert map_alpha_to_step(0.5, sched) == 2
-
-    def test_map_clamps_to_ends(self):
-        sched = DdimSchedule(np.array([0.8, 0.6, 0.4]))
-        assert map_alpha_to_step(0.99, sched) == 0
-        assert map_alpha_to_step(0.01, sched) == 2
-
 
 class TestDdimAlgebra:
     def test_x0_round_trip(self):
@@ -113,7 +98,9 @@ class TestDdimAlgebra:
         s_in = s0 + 2.0 * rng.standard_normal(64)
         out = prior.denoise(s_in, snr_match(4.0, "ddim"), 4.0)
         assert np.max(np.abs(out - s0)) < 1e-8
-        assert prior.eval_count == map_alpha_to_step(0.2, sched) + 1
+        # one reverse step per grid entry cleaner than alpha_bar* = 0.2, then
+        # the x0 prediction
+        assert prior.eval_count == np.sum(sched.alpha_bar > 0.2) + 1
 
     def test_gaussian_x0_mode_is_conjugate_posterior(self):
         # schedule containing alpha_bar = 1/(1+v) exactly: the single-step
@@ -128,10 +115,22 @@ class TestDdimAlgebra:
         out = prior.denoise(s_in, ab_star, v)
         assert np.max(np.abs(out - var0 * s_in / (var0 + v))) < 1e-10
 
+    def test_gaussian_x0_mode_off_grid_is_conjugate_posterior(self):
+        # alpha_bar* = 1/(1+v) between two entries of the default grid: x0
+        # mode predicts at alpha_bar* itself, not at the nearest entry
+        v, var0 = 0.027, 1.0
+        prior = DdimPrior(gaussian_eps_predictor(var0=var0), mode="x0")
+        assert snr_match(v, "ddim") not in prior.schedule.alpha_bar
+        rng = np.random.Generator(np.random.Philox(4))
+        s_in = rng.standard_normal(4096)
+        out = prior.denoise(s_in, snr_match(v, "ddim"), v)
+        assert np.max(np.abs(out - var0 * s_in / (var0 + v))) < 1e-10
+        assert prior.eval_count == 1
+
     def test_gaussian_trajectory_mode_is_marginal_transport(self):
-        # rolling back with the exact predictor transports the level-k
-        # marginal onto the data law: for a Gaussian the continuum limit is
-        # a scale map, out = sqrt(ab_k) sqrt(ab_0) var0 / (sd_k sd_0) s_in
+        # rolling back with the exact predictor transports the marginal at
+        # alpha_bar* onto the data law: for a Gaussian the continuum limit is
+        # a scale map, out = sqrt(ab*) sqrt(ab_0) var0 / (sd* sd_0) s_in
         # with sd^2(ab) = ab var0 + 1 - ab (not the posterior mean)
         v, var0 = 1.0, 2.0
         sched = default_ddim_schedule(num_steps=200)
@@ -139,10 +138,10 @@ class TestDdimAlgebra:
         rng = np.random.Generator(np.random.Philox(5))
         s_in = rng.standard_normal(256)
         out = prior.denoise(s_in, snr_match(v, "ddim"), v)
-        ab = sched.alpha_bar
-        k = map_alpha_to_step(snr_match(v, "ddim"), sched)
+        ab_star, ab_0 = snr_match(v, "ddim"), sched.alpha_bar[0]
         sd = lambda a: np.sqrt(a * var0 + 1 - a)
-        scale = np.sqrt(ab[k]) * np.sqrt(ab[0]) * var0 / (sd(ab[k]) * sd(ab[0]))
+        scale = (np.sqrt(ab_star) * np.sqrt(ab_0) * var0
+                 / (sd(ab_star) * sd(ab_0)))
         assert np.max(np.abs(out - scale * s_in)) < 0.02 * np.max(
             np.abs(scale * s_in))
 
@@ -212,15 +211,14 @@ class TestFlowMatching:
             fm_integrate(np.zeros(2), lambda z, t: z, 0.0, 1.0, 0)
         with pytest.raises(InvalidParameterError):
             FlowMatchingPrior(lambda z, t: z, num_steps=0)
-        with pytest.raises(InvalidParameterError):
-            FlowMatchingPrior(lambda z, t: z, t_end=1.5)
 
 
 class TestFlowMatchingPrior:
     def test_near_clean_input_passes_through(self):
-        prior = FlowMatchingPrior(gaussian_velocity_predictor(), t_end=0.99)
+        # t* at or past the end of the path: nothing left to integrate
+        prior = FlowMatchingPrior(gaussian_velocity_predictor())
         s_in = np.array([1.0, 2.0])
-        out = prior.denoise(s_in, 0.995, 1e-4)
+        out = prior.denoise(s_in, 0.9995, 2.5e-7)
         assert np.allclose(out, s_in, atol=1e-12)
         assert prior.eval_count == 0
 
@@ -236,9 +234,9 @@ class TestFlowMatchingPrior:
         # the data law: continuum limit is the sd-ratio scale map
         # out = t* sd(t_end)/sd(t*) s_in with sd^2(t) = t^2 var0 + (1-t)^2
         var0, v = 1.0, 1.0
-        t_end = 1.0 - 1e-3
+        t_end = FlowMatchingPrior.T_END
         prior = FlowMatchingPrior(gaussian_velocity_predictor(var0=var0),
-                                  num_steps=400, t_end=t_end)
+                                  num_steps=400)
         rng = np.random.Generator(np.random.Philox(8))
         s_in = rng.standard_normal(64)
         t_star = snr_match(v, "flow-matching")

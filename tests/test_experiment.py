@@ -93,6 +93,8 @@ class TestExperimentConfig:
             toy_config(beta=1.5)
         with pytest.raises(InvalidParameterError):
             toy_config(sigma=-0.1)
+        with pytest.raises(InvalidParameterError, match="got nan"):
+            toy_config(sigma=float("nan"))
         with pytest.raises(InvalidParameterError):
             toy_config(num_trials=0)
 
@@ -360,6 +362,7 @@ BAD_PRIORS = {
     "missing-bridge-program": ({"kind": "external-bridge",
                                 "argv": ["/nonexistent/denoiser"]},
                                "cannot start the prior's bridge"),
+    "kind-not-a-spec": ("ddim", "prior must be a spec dict, got 'ddim'"),
 }
 
 
@@ -385,6 +388,63 @@ class TestBadPrior:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+
+def fading(**keys):
+    return dict(kind="tdl-fading", **keys)
+
+
+# malformed channel specs: (spec, error text)
+BAD_CHANNELS = {
+    "kind-not-a-spec": ("identity",
+                        "channel must be a spec dict, got 'identity'"),
+    "word-doppler-rate": (fading(doppler_rate="x"),
+                          "channel spec 'doppler_rate' must be a number, "
+                          "got 'x'"),
+    "nan-doppler-rate": (fading(doppler_rate=float("nan")),
+                         "doppler_rate must be >= 0, got nan"),
+    "word-num-symbols": (fading(num_symbols="x"),
+                         "'num_symbols' must be an integer >= 1, got 'x'"),
+    "word-tap-powers": (fading(tap_powers="abc"),
+                        "'tap_powers' must be a list of numbers, got 'abc'"),
+    "string-num-taps": (fading(num_taps="3"),
+                        "'num_taps' must be an integer >= 1, got '3'"),
+    "list-factor-method": ({"kind": "conditioned", "factor_method": ["haar"]},
+                           "unknown factor_method ['haar']"),
+}
+
+
+class TestBadChannel:
+    """A malformed channel spec fails its trials; it does not abort the
+    run."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHANNELS))
+    def test_one_error_row_per_trial(self, name):
+        spec, message = BAD_CHANNELS[name]
+        report = run_experiment(toy_config(channel=spec, num_trials=2))
+        assert [t.trial for t in report.trials] == [0, 1]
+        assert report.num_errors == 2
+        assert all(message in t.error for t in report.trials)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHANNELS))
+    def test_cli_run_exits_1_without_traceback(self, name, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"source": toy_config().source,
+                                    "channel": BAD_CHANNELS[name][0],
+                                    "num_trials": 2, "max_iters": 2}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmoamp.cli", "run", str(path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+
+def test_sweep_gives_rows_for_specs_that_are_not_dicts():
+    text, reports = sweep([toy_config(prior="ddim", num_trials=2),
+                           toy_config(channel="identity", sigma=0.1)])
+    rows = sorted(line.split(",") for line in text.splitlines()[1:])
+    assert [(row[2], row[3], row[-1]) for row in rows] == [
+        ("?", "identity", "2"), ("analytic-gaussian", "?", "1")]
 
 
 def test_word_kappa_gives_error_rows():

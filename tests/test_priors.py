@@ -15,7 +15,7 @@ from rmoamp import (
     denoise,
     run_experiment,
 )
-from rmoamp.priors import _logsumexp_rows, universal_threshold
+from rmoamp.priors import universal_threshold
 
 
 def brute_force_gm_posterior(z, weights, means, variances, v):
@@ -85,6 +85,13 @@ class TestGaussianMixture:
         expected = (tau / tv) * z + (v / tv) * mu * np.tanh(mu * z / tv)
         assert np.max(np.abs(gm.denoise(z, None, v) - expected)) < 1e-12
 
+    def test_zero_weight_component_is_never_responsible(self):
+        # far from the weighted component, a zero-weight one nearer the
+        # input must still take no responsibility
+        gm = GaussianMixturePrior((1.0, 0.0), (0.0, 100.0), (1.0, 1.0))
+        z = np.array([10.0, 40.0, 60.0, 99.0])
+        assert np.array_equal(gm.denoise(z, None, 1.0), z / 2)
+
     def test_point_mass_component_snaps_at_zero_noise(self):
         gm = GaussianMixturePrior((0.5, 0.5), (0.0, 3.0), (0.0, 0.0))
         out = gm.denoise(np.array([0.1, 2.9]), None, 0.01)
@@ -131,60 +138,81 @@ class TestGaussianMixture:
         assert all("1-D vectors" in t.error for t in report.trials)
 
 
+def logsumexp_posterior(z, weights, means, variances, v):
+    """The mixture posterior mean with log responsibilities normalized by
+    scipy's logsumexp; a zero total variance is floored at 1e-30, as in
+    GaussianMixturePrior."""
+    total_var = np.maximum(variances + v, 1e-30)
+    diff = z[:, np.newaxis] - means
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+    log_resp = (log_weights - 0.5 * np.log(total_var)
+                - 0.5 * diff ** 2 / total_var)
+    log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
+    return np.sum(np.exp(log_resp) * (means + variances / total_var * diff),
+                  axis=1)
+
+
+def seeded_mixture(k, seed):
+    """K components; from K = 2 on, the first has zero weight and the last
+    zero variance."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    weights = rng.dirichlet(np.ones(k))
+    means = rng.uniform(-3.0, 3.0, k)
+    variances = rng.exponential(1.0, k)
+    if k > 1:
+        weights[0] = 0.0
+        weights /= weights.sum()
+        variances[-1] = 0.0
+    return weights, means, variances
+
+
 class TestLogSumExp:
-    """The numpy helper repeats scipy's arithmetic on the transposed,
-    component-major layout, so up to 7 components it is bit-identical; from
-    8 components on the sums group differently and agree to a few ulp."""
+    """The mixture posterior's one softmax agrees with the responsibilities
+    normalized by ``scipy.special.logsumexp``, to a relative 1e-12."""
+
+    V = (0.0, 1e-5, 1e-3, 0.1, 2.0)
 
     @staticmethod
-    def assert_same_bits(a):
-        ref = logsumexp(a, axis=1, keepdims=True)
-        got = _logsumexp_rows(np.ascontiguousarray(a.T))
-        assert np.array_equal(got, ref.T, equal_nan=True)
+    def assert_matches_reference(params, z, v):
+        np.testing.assert_allclose(
+            GaussianMixturePrior(*params).denoise(z, None, v),
+            logsumexp_posterior(z, *params, v), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1e3])
-    @pytest.mark.parametrize("cols", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 7, 8])
     def test_random_blocks(self, scale, cols):
+        # cols components, one of them with zero weight and one with zero
+        # variance from two on, and inputs of the given scale
+        params = seeded_mixture(cols, seed=40 + cols)
         rng = np.random.Generator(np.random.Philox(31))
-        self.assert_same_bits(scale * rng.standard_normal((500, cols)))
-
-    @pytest.mark.parametrize("cols", [8, 9])
-    def test_many_components_agree_to_a_few_ulp(self, cols):
-        rng = np.random.Generator(np.random.Philox(34))
-        a = 10.0 * rng.standard_normal((500, cols))
-        ref = logsumexp(a, axis=1, keepdims=True)
-        got = _logsumexp_rows(np.ascontiguousarray(a.T))
-        np.testing.assert_array_max_ulp(got, ref.T, maxulp=4)
+        z = scale * rng.standard_normal(2048)
+        for v in self.V:
+            self.assert_matches_reference(params, z, v)
 
     def test_tied_maxima(self):
+        # two equal components tie in every column, and together act as
+        # one component with their summed weight
+        weights, means, variances = seeded_mixture(3, seed=32)
+        split = (np.append(weights * [1, 1, 0.5], weights[2] * 0.5),
+                 np.append(means, means[2]),
+                 np.append(variances, variances[2]))
         rng = np.random.Generator(np.random.Philox(32))
-        a = rng.standard_normal((300, 4))
-        a[::3, 1] = a[::3, 0] = np.max(a[::3], axis=1)
-        a[1::5] = 0.25
-        self.assert_same_bits(a)
-
-    def test_infinite_and_nan_entries(self):
-        self.assert_same_bits(np.array([[-np.inf, -np.inf], [np.inf, 1.0],
-                                        [np.nan, 1.0], [1e308, 1e308],
-                                        [-np.inf, 0.0]]))
+        z = 3.0 * rng.standard_normal(2048)
+        for v in self.V:
+            self.assert_matches_reference(split, z, v)
+            np.testing.assert_allclose(
+                GaussianMixturePrior(*split).denoise(z, None, v),
+                GaussianMixturePrior(weights, means, variances).denoise(
+                    z, None, v), rtol=1e-12, atol=1e-14)
 
     def test_mixture_denoiser_matches_scipy_logsumexp(self):
-        # the dense-bridge prior: the parent formula with scipy's logsumexp
-        weights, means = np.array([0.9, 0.1]), np.zeros(2)
-        variances = np.array([1e-4, 1.0])
-        gm = GaussianMixturePrior(weights, means, variances)
+        # the dense-bridge prior: a narrow spike inside a unit slab
+        params = (np.array([0.9, 0.1]), np.zeros(2), np.array([1e-4, 1.0]))
         rng = np.random.Generator(np.random.Philox(33))
         z = rng.standard_normal(4096) * rng.choice([0.01, 1.0], size=4096)
-        for v in (1e-5, 1e-3, 0.1, 2.0):
-            total_var = (variances + v)[np.newaxis, :]
-            log_resp = (np.log(weights) - 0.5 * np.log(total_var)
-                        - 0.5 * (z[:, np.newaxis] - means) ** 2 / total_var)
-            self.assert_same_bits(log_resp)
-            log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
-            comp_mean = means + variances / total_var * (z[:, np.newaxis]
-                                                         - means)
-            ref = np.sum(np.exp(log_resp) * comp_mean, axis=1)
-            assert np.array_equal(gm.denoise(z, None, v), ref)
+        for v in self.V:
+            self.assert_matches_reference(params, z, v)
 
 
 class TestDctSoftThreshold:
@@ -212,12 +240,6 @@ class TestDctSoftThreshold:
         out = prior.denoise(s, None, 1.0)
         c = dct_transform(out)
         assert np.max(np.abs(c[1:])) < 1e-12
-
-    def test_custom_rule(self):
-        prior = DctSoftThresholdPrior(rule=lambda v, n: 0.0)
-        rng = np.random.Generator(np.random.Philox(4))
-        s = rng.standard_normal(32)
-        assert np.allclose(prior.denoise(s, None, 2.0), s, atol=1e-12)
 
     def test_matches_manual_soft_threshold(self):
         prior = DctSoftThresholdPrior()
