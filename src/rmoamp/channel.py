@@ -26,13 +26,13 @@ LMMSE step by banded Cholesky.  Three generators are provided:
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      SingularSystemError)
-from .rm_operator import OrthoFactor, _draw_scramble
+from .rm_operator import OrthoFactor, _Factor, _draw_scramble
 from .sources import spec_integer, spec_numbers
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class BandFactor:
+class BandFactor(_Factor):
     """Realified ``dim x dim`` matrix of a lower-banded complex matrix ``H``.
 
     ``H`` is ``dim/2 x dim/2``.  Each complex entry ``a + jb`` is the 2x2
@@ -63,10 +63,8 @@ class BandFactor:
     holds the diagonal and ``ab.shape[0] - 1`` sub-diagonals in LAPACK
     general-band storage (Fortran order, as BLAS ``zgbmv`` takes it).
     ``gram`` is the lower band of the Hermitian ``H H^H``, stored as
-    ``gram[i - j, j] = (H H^H)[i, j]``.  ``@`` applies the realified matrix
-    (or its transpose through ``.T``) to a vector and ``np.asarray(factor)``
-    is the dense realified matrix.  ``scipy.linalg`` is imported on first
-    use.
+    ``gram[i - j, j] = (H H^H)[i, j]``.  ``.T`` is the transpose.
+    ``scipy.linalg`` is imported on first use.
     """
 
     ab: np.ndarray
@@ -77,27 +75,14 @@ class BandFactor:
     def shape(self):
         return (2 * self.ab.shape[1],) * 2
 
-    @property
-    def T(self):
-        return replace(self, transposed=not self.transposed)
-
-    def __matmul__(self, x):
+    def _apply(self, x):
         from scipy.linalg.blas import zgbmv
 
         width, n_c = self.ab.shape
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (2 * n_c,):
-            raise InvalidDimensionError(
-                f"expected length-{2 * n_c} input, got shape {x.shape}")
         xc = np.ascontiguousarray(x).view(np.complex128)
         # trans=2: the conjugate transpose
         return zgbmv(n_c, n_c, width - 1, 0, 1.0, self.ab, xc,
                      trans=2 * self.transposed).view(np.float64)
-
-    def __array__(self, dtype=None, copy=None):
-        # the dense matrix, one column per apply: desk-scale dims only
-        dense = np.stack([self @ e for e in np.eye(self.shape[1])], axis=1)
-        return dense if dtype is None else dense.astype(dtype)
 
     def spectrum(self):
         """Nonincreasing singular values: each square root of eig(H H^H)
@@ -128,16 +113,15 @@ class BandFactor:
 
 
 @dataclass(frozen=True, eq=False)
-class WyFactor:
+class WyFactor(_Factor):
     """Orthogonal ``dim x dim`` matrix ``Q D`` kept in compact-WY form.
 
     ``Q = H_1 H_2 ... H_dim`` is the product of the Householder reflectors
     stored below the diagonal of ``v`` in LAPACK ``dgeqrt``'s layout (unit
     diagonal implied); ``t`` holds their ``nb x dim`` upper-triangular block
     factors (Schreiber & Van Loan, 1989) and ``D = diag(signs)``.  ``@``
-    applies ``Q D`` (or ``D Q^T`` through ``.T``) by ``dgemqrt`` to a vector
-    or along axis 0 of a matrix, and ``np.asarray(factor)`` is the dense
-    matrix.  ``scipy.linalg`` is imported on first use.
+    applies ``Q D`` (or ``D Q^T`` through ``.T``) by ``dgemqrt``.
+    ``scipy.linalg`` is imported on first use.
     """
 
     v: np.ndarray
@@ -149,30 +133,12 @@ class WyFactor:
     def shape(self):
         return self.v.shape
 
-    @property
-    def T(self):
-        return replace(self, transposed=not self.transposed)
-
-    def __matmul__(self, x):
+    def _apply(self, x):
         from scipy.linalg.lapack import dgemqrt
 
-        x = np.asarray(x, dtype=np.float64)
-        dim = self.signs.size
-        if x.ndim not in (1, 2) or x.shape[0] != dim:
-            raise InvalidDimensionError(
-                f"expected {dim} rows, got shape {x.shape}")
-        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
         if self.transposed:
-            c = dgemqrt(self.v, self.t, x.reshape(dim, -1), trans="T")[0]
-            return c.reshape(x.shape) * signs
-        c = dgemqrt(self.v, self.t, (x * signs).reshape(dim, -1),
-                    overwrite_c=True)[0]
-        return c.reshape(x.shape)
-
-    def __array__(self, dtype=None, copy=None):
-        # the dense matrix: desk-scale dims only
-        dense = self @ np.eye(self.signs.size)
-        return dense if dtype is None else dense.astype(dtype)
+            return dgemqrt(self.v, self.t, x, trans="T")[0] * self.signs
+        return dgemqrt(self.v, self.t, x * self.signs, overwrite_c=True)[0]
 
 
 @dataclass(frozen=True)
@@ -233,10 +199,8 @@ class ChannelInstance:
         return self.vt.T @ (gains * (self.u.T @ r))
 
     def dense(self):
-        """Assemble the dense matrix (use only at desk-scale dims)."""
-        if self.vt is None:
-            return np.asarray(self.u)
-        return (np.asarray(self.u) * self.s) @ np.asarray(self.vt)
+        """The dense matrix, one apply per column (desk-scale dims only)."""
+        return np.stack([self.apply(e) for e in np.eye(self.n_cols)], axis=1)
 
     def condition_number(self):
         smin = self.s[-1]
@@ -254,9 +218,9 @@ class ChannelInstance:
 class FadingProfile:
     """Tapped-delay-line power profile with a normalized Doppler rate.
 
-    ``tap_powers`` must be nonnegative and sum to one; ``doppler_rate`` is in
-    cycles per symbol and controls how fast the taps decorrelate across the
-    ``num_symbols`` symbol blocks.
+    ``tap_powers`` must be nonnegative and sum to one; ``doppler_rate`` is a
+    finite number >= 0 in cycles per symbol and controls how fast the taps
+    decorrelate across the ``num_symbols`` symbol blocks.
     """
 
     num_taps: int
@@ -273,6 +237,8 @@ class FadingProfile:
         if not self.doppler_rate >= 0:  # NaN too
             raise InvalidParameterError(
                 f"doppler_rate must be >= 0, got {self.doppler_rate!r}")
+        if self.doppler_rate == np.inf:
+            raise InvalidParameterError("doppler_rate must be finite, got inf")
         if self.num_symbols < 1:
             raise InvalidParameterError("num_symbols must be >= 1")
         object.__setattr__(self, "tap_powers", powers)
@@ -400,6 +366,8 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
             or not kappa >= 1):
         raise InvalidParameterError(
             f"condition number must be a number >= 1, got {kappa!r}")
+    if kappa == np.inf:
+        raise InvalidParameterError("condition number must be finite, got inf")
     rng = np.random.Generator(np.random.Philox(seed))
     # a list or dict is not a name, and unhashable
     make = {"haar": _haar_orthogonal, "fast": _fast_orthogonal}.get(
@@ -527,18 +495,11 @@ _last_built = None
 
 
 def _freeze(ch):
-    """Make every factor array of ``ch`` read-only."""
+    """Make ``s`` and every array field of ``ch``'s factors read-only."""
     for factor in (ch.u, ch.s, ch.vt):
-        if isinstance(factor, OrthoFactor):
-            arrays = (factor.signs, factor.perm)
-        elif isinstance(factor, BandFactor):
-            arrays = (factor.ab, factor.gram)
-        elif isinstance(factor, WyFactor):
-            arrays = (factor.v, factor.t, factor.signs)
-        else:
-            arrays = (factor,)
-        for array in arrays:
-            if array is not None:
+        for array in (vars(factor).values() if is_dataclass(factor)
+                      else (factor,)):
+            if isinstance(array, np.ndarray):
                 array.setflags(write=False)
 
 

@@ -92,15 +92,27 @@ def _cmd_run(args):
     return 0 if report.num_errors < len(report.trials) else 1
 
 
+def _grid_points(data):
+    """The config dicts of a sweep grid: a JSON list of objects, or
+    ``{"base": {...}, "points": [{...}]}`` with base merged into each point.
+    Any other shape raises ValueError."""
+    base, points = {}, data
+    if isinstance(data, dict):
+        base, points = data.get("base", {}), data.get("points", [])
+    if not isinstance(base, dict) or not isinstance(points, list):
+        raise ValueError('a sweep grid is a JSON list of objects or '
+                         '{"base": {...}, "points": [{...}]}')
+    for i, point in enumerate(points):
+        if not isinstance(point, dict):
+            raise ValueError(f"sweep grid point {i} must be a JSON object, "
+                             f"got {point!r}")
+    return [dict(base, **point) for point in points]
+
+
 def _cmd_sweep(args):
     with open(args.grid) as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        base = data.get("base", {})
-        points = [dict(base, **point) for point in data.get("points", [])]
-    else:
-        points = data
-    grid = [config_from_dict(point) for point in points]
+    grid = [config_from_dict(point) for point in _grid_points(data)]
     text, _ = sweep(grid, output_dir=args.output_dir)
     print(text, end="")
     return 0

@@ -68,7 +68,8 @@ class ExperimentConfig:
     """One grid point: source, compression, channel, prior, loop knobs, seeds.
 
     A number or count of the wrong type, a beta outside (0, 1], a negative
-    sigma or seed and a count below 1 raise InvalidParameterError.
+    sigma or seed, a tolerance that is not > 0 (NaN included) and a count
+    below 1 raise InvalidParameterError.
     """
 
     source: object
@@ -98,6 +99,9 @@ class ExperimentConfig:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
         if not self.sigma >= 0:  # NaN too
             raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
+        if not self.tolerance > 0:  # NaN too
+            raise InvalidParameterError(
+                f"tolerance must be > 0, got {self.tolerance}")
 
     def receiver_config(self, trial=0):
         return ReceiverConfig(
@@ -198,9 +202,10 @@ def build_prior(spec):
     ``host``/``port`` (connect) plus optional ``timeout`` and ``snr_kind``.
 
     A spec that is not a dict, a spec without one of its kind's keys, a
-    number, count or list of numbers of the wrong type, and a bridge that
-    cannot be started or reached raise InvalidParameterError naming the key
-    or the cause.
+    number, count or list of numbers of the wrong type, a bridge ``argv``
+    that is not a non-empty list of strings or a ``host`` that is not a
+    string, and a bridge that cannot be started or reached raise
+    InvalidParameterError naming the key or the cause.
     """
     if not isinstance(spec, dict):
         raise InvalidParameterError(f"prior must be a spec dict, got {spec!r}")
@@ -244,9 +249,19 @@ def _prior_from_spec(spec):
             spec, "num_steps", 1, 20, _PRIOR))
     if kind == "external-bridge":
         timeout = spec_numbers(spec, "timeout", 0, 5.0, _PRIOR)
+        if "argv" in spec:
+            argv = spec["argv"]
+            if not (isinstance(argv, list) and argv
+                    and all(isinstance(arg, str) for arg in argv)):
+                raise InvalidParameterError(
+                    f"{_PRIOR} 'argv' must be a non-empty list of strings, "
+                    f"got {argv!r}")
+        elif not isinstance(spec["host"], str):
+            raise InvalidParameterError(
+                f"{_PRIOR} 'host' must be a string, got {spec['host']!r}")
         try:
             if "argv" in spec:
-                client = BridgeClient.spawn(spec["argv"], timeout=timeout)
+                client = BridgeClient.spawn(argv, timeout=timeout)
             else:
                 client = BridgeClient.connect(
                     spec["host"], spec_integer(spec, "port", 0, label=_PRIOR),

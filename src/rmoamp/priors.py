@@ -59,7 +59,7 @@ class AnalyticGaussianPrior:
     eval_count = 0
 
     def __init__(self, mean=0.0, var0=1.0):
-        if var0 < 0:
+        if not var0 >= 0:  # NaN too
             raise InvalidParameterError("prior variance must be >= 0")
         self.mean = float(mean)
         self.var0 = float(var0)
@@ -92,7 +92,7 @@ class GaussianMixturePrior:
                 "length >= 1")
         if np.any(self.weights < 0) or not np.isclose(self.weights.sum(), 1.0):
             raise InvalidParameterError("mixture weights must be >= 0 and sum to 1")
-        if np.any(self.variances < 0):
+        if not np.all(self.variances >= 0):  # NaN too
             raise InvalidParameterError("mixture variances must be >= 0")
 
     def denoise(self, s_in, t_star, v):

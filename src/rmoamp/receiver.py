@@ -94,7 +94,7 @@ class ReceiverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidParameterError("max_iters must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise InvalidParameterError("tolerance must be > 0")
 
 

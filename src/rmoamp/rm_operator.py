@@ -30,17 +30,43 @@ __all__ = [
 ]
 
 
+class _Factor:
+    """The apply protocol of the linear factors.
+
+    A factor is a frozen dataclass with a ``shape``, a ``transposed`` flag
+    and ``_apply(x)`` for a float64 vector of length ``shape[1]``.  ``@``
+    takes one such vector (anything else raises InvalidDimensionError),
+    ``.T`` flips ``transposed`` and ``np.asarray(factor)`` is the dense
+    matrix, one apply per column.
+    """
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        cols = self.shape[1]
+        if x.shape != (cols,):
+            raise InvalidDimensionError(
+                f"expected length-{cols} vector, got shape {x.shape}")
+        return self._apply(x)
+
+    def __array__(self, dtype=None, copy=None):
+        # the dense matrix, one column per apply: desk-scale dims only
+        dense = np.stack([self @ e for e in np.eye(self.shape[1])], axis=1)
+        return dense if dtype is None else dense.astype(dtype)
+
+
 @dataclass(frozen=True, eq=False)
-class OrthoFactor:
+class OrthoFactor(_Factor):
     """``m x dim`` matrix ``P C S`` with orthonormal rows, kept as O(dim) state.
 
     ``S = diag(signs)``, ``C`` is the orthonormal DCT-II and ``P`` picks
     ``m = perm.size <= dim`` rows, ``(P z)[i] = z[perm[i]]``; at ``m == dim``
     the factor is orthogonal.  Without ``signs`` and ``perm`` the factor is
-    the ``dim x dim`` identity.  ``@`` applies it to a vector or along axis 0
-    of a matrix, ``.T`` is the transpose (it scatters into zeros, so a wide
-    factor's transpose is its zero-filled pseudo-inverse) and
-    ``np.asarray(factor)`` the dense matrix.
+    the ``dim x dim`` identity.  ``.T`` is the transpose (it scatters into
+    zeros, so a wide factor's transpose is its zero-filled pseudo-inverse).
     """
 
     dim: int
@@ -53,29 +79,14 @@ class OrthoFactor:
         rows = self.dim if self.perm is None else self.perm.size
         return (self.dim, rows) if self.transposed else (rows, self.dim)
 
-    @property
-    def T(self):
-        return replace(self, transposed=not self.transposed)
-
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        cols = self.shape[1]
-        if x.ndim not in (1, 2) or x.shape[0] != cols:
-            raise InvalidDimensionError(
-                f"expected {cols} rows, got shape {x.shape}")
+    def _apply(self, x):
         if self.signs is None:
             return x.copy()
-        signs = self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
         if not self.transposed:
-            return dct_transform(x * signs)[self.perm]
-        z = np.zeros((self.dim,) + x.shape[1:])
+            return dct_transform(x * self.signs)[self.perm]
+        z = np.zeros(self.dim)
         z[self.perm] = x
-        return dct_transform(z, inverse=True) * signs
-
-    def __array__(self, dtype=None, copy=None):
-        # the dense matrix: desk-scale dims only
-        dense = self @ np.eye(self.shape[1])
-        return dense if dtype is None else dense.astype(dtype)
+        return dct_transform(z, inverse=True) * self.signs
 
 
 def _draw_scramble(dim, rng):

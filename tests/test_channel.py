@@ -49,8 +49,9 @@ class TestConditionedChannel:
         for method in ("haar", "fast"):
             ch = rm.gen_conditioned_channel(40, 5.0, "linear", 0.0, seed=3,
                                             factor_method=method)
-            assert np.max(np.abs(ch.u.T @ ch.u - np.eye(40))) < 1e-10
-            assert np.max(np.abs(ch.vt @ ch.vt.T - np.eye(40))) < 1e-10
+            u, vt = np.asarray(ch.u), np.asarray(ch.vt)
+            assert np.max(np.abs(u.T @ u - np.eye(40))) < 1e-10
+            assert np.max(np.abs(vt @ vt.T - np.eye(40))) < 1e-10
 
     def test_spectrum_nonincreasing(self):
         ch = rm.gen_conditioned_channel(25, 9.0, "geometric", 0.0, seed=4)
@@ -139,10 +140,15 @@ class TestFastFactor:
         factor, dense = drawn_fast_factor(dim, seed=22, m=m)
         rows = dense.shape[0]
         rng = np.random.Generator(np.random.Philox(23))
-        for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
-            assert np.max(np.abs(factor @ x - dense @ x)) < 1e-12
-        for x in (rng.standard_normal(rows), rng.standard_normal((rows, 3))):
-            assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-12
+        x = rng.standard_normal(dim)
+        assert np.max(np.abs(factor @ x - dense @ x)) < 1e-12
+        x = rng.standard_normal(rows)
+        assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-12
+        # one vector per apply: a matrix is refused
+        with pytest.raises(rm.InvalidDimensionError):
+            factor @ rng.standard_normal((dim, 3))
+        with pytest.raises(rm.InvalidDimensionError):
+            factor.T @ rng.standard_normal((rows, 3))
 
     def test_rejects_wrong_length(self):
         for m in (None, 3):
@@ -267,11 +273,15 @@ class TestHaarFactor:
         assert factor.shape == (dim, dim)
         assert np.max(np.abs(np.asarray(factor) - dense)) < 1e-13
         rng = np.random.Generator(np.random.Philox(42))
-        for x in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
-            kept = x.copy()
-            assert np.max(np.abs(factor @ x - dense @ x)) < 1e-13
-            assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-13
-            assert np.array_equal(x, kept)
+        x = rng.standard_normal(dim)
+        kept = x.copy()
+        assert np.max(np.abs(factor @ x - dense @ x)) < 1e-13
+        assert np.max(np.abs(factor.T @ x - dense.T @ x)) < 1e-13
+        assert np.array_equal(x, kept)
+        # one vector per apply: a matrix is refused
+        for applied in (factor, factor.T):
+            with pytest.raises(rm.InvalidDimensionError):
+                applied @ rng.standard_normal((dim, 3))
 
     def test_draws_follow_the_haar_law(self):
         rng = np.random.Generator(np.random.Philox(47))
@@ -349,6 +359,72 @@ class TestHaarFactor:
             tracemalloc.stop()
         assert isinstance(ch.vt, rm.WyFactor)
         assert peak <= 28 * 2 ** 20
+
+
+def protocol_factor(kind, dim):
+    """One factor of each class, drawn from a fixed seed."""
+    rng = np.random.Generator(np.random.Philox(dim))
+    if kind == "identity":
+        return rm.OrthoFactor(dim)
+    if kind == "fast":
+        return _fast_orthogonal(dim, rng)
+    if kind == "wide":
+        return rm.build_rm_operator(dim, dim // 2 + 1, seed=dim)
+    if kind == "haar":
+        return _haar_orthogonal(dim, rng)
+    profile = rm.FadingProfile(num_taps=3, tap_powers=(0.5, 0.3, 0.2),
+                               doppler_rate=0.1, num_symbols=2)
+    return rm.gen_tdl_fading_channel(dim, profile, 0.0, seed=dim).u
+
+
+# (kind, dim): odd and even dims; a band's dim counts real entries, so its
+# complex size n_c = dim / 2 is odd at 14
+PROTOCOL_FACTORS = [(kind, dim) for kind in ("identity", "fast", "wide",
+                                             "haar")
+                    for dim in (7, 16)] + [("band", 14), ("band", 16)]
+
+
+class TestFactorProtocol:
+    """Every factor class applies one vector, transposes and densifies the
+    same way."""
+
+    @pytest.mark.parametrize("kind,dim", PROTOCOL_FACTORS)
+    def test_apply_and_transpose_match_the_dense_form(self, kind, dim):
+        factor = protocol_factor(kind, dim)
+        dense = np.asarray(factor)
+        rows, cols = factor.shape
+        assert dense.shape == (rows, cols) and factor.T.shape == (cols, rows)
+        rng = np.random.Generator(np.random.Philox(dim + 1))
+        x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+        assert np.max(np.abs(factor @ x - dense @ x)) < 1e-12
+        assert np.max(np.abs(factor.T @ y - dense.T @ y)) < 1e-12
+        assert np.max(np.abs(np.asarray(factor.T) - dense.T)) < 1e-12
+
+    @pytest.mark.parametrize("kind,dim", PROTOCOL_FACTORS)
+    def test_only_a_vector_of_the_input_length(self, kind, dim):
+        factor = protocol_factor(kind, dim)
+        for applied in (factor, factor.T):
+            cols = applied.shape[1]
+            for bad in (np.ones((cols, 2)), np.ones((cols, 1)),
+                        np.ones(cols + 1), np.ones(cols - 1), np.float64(1)):
+                with pytest.raises(rm.InvalidDimensionError):
+                    applied @ bad
+
+    @pytest.mark.parametrize("build", [
+        lambda: rm.gen_conditioned_channel(7, 5.0, "geometric", 0.1, seed=3),
+        lambda: rm.gen_conditioned_channel(16, 5.0, "linear", 0.1, seed=3,
+                                           factor_method="fast"),
+        lambda: rm.gen_identity_channel(9, sigma2=0.1),
+    ], ids=["haar", "fast", "identity"])
+    def test_dense_channel_equals_its_svd_factors(self, build):
+        ch = build()
+        svd = (np.asarray(ch.u) * ch.s) @ np.asarray(ch.vt)
+        assert np.max(np.abs(ch.dense() - svd)) < 1e-13
+
+    def test_dense_band_channel_equals_its_band(self):
+        ch = rm.gen_tdl_fading_channel(14, make_profile(), 0.1, seed=3)
+        assert ch.vt is None
+        assert np.max(np.abs(ch.dense() - np.asarray(ch.u))) < 1e-13
 
 
 def random_profile(num_taps, num_symbols, seed):

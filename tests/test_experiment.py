@@ -98,6 +98,13 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError):
             toy_config(num_trials=0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1e-4])
+    def test_tolerance_must_be_positive(self, tolerance):
+        # a NaN tolerance never converges: the loop ran to max_iters
+        with pytest.raises(InvalidParameterError,
+                           match=f"tolerance must be > 0, got {tolerance}"):
+            toy_config(tolerance=tolerance)
+
     def test_receiver_config_offsets_divergence_seed(self):
         cfg = toy_config(divergence_seed=4, max_iters=7, tolerance=1e-6)
         rc = cfg.receiver_config(trial=2)
@@ -363,6 +370,23 @@ BAD_PRIORS = {
                                 "argv": ["/nonexistent/denoiser"]},
                                "cannot start the prior's bridge"),
     "kind-not-a-spec": ("ddim", "prior must be a spec dict, got 'ddim'"),
+    "int-argv": ({"kind": "external-bridge", "argv": 5},
+                 "prior spec 'argv' must be a non-empty list of strings, "
+                 "got 5"),
+    "int-in-argv": ({"kind": "external-bridge", "argv": [5]},
+                    "prior spec 'argv' must be a non-empty list of strings, "
+                    "got [5]"),
+    "empty-argv": ({"kind": "external-bridge", "argv": []},
+                   "prior spec 'argv' must be a non-empty list of strings, "
+                   "got []"),
+    "int-host": ({"kind": "external-bridge", "host": 5, "port": 9},
+                 "prior spec 'host' must be a string, got 5"),
+    "nan-var0": ({"kind": "analytic-gaussian", "var0": float("nan")},
+                 "prior variance must be >= 0"),
+    "nan-mixture-variance": ({"kind": "analytic-gauss-mixture",
+                              "weights": [0.5, 0.5], "means": [0.0, 0.0],
+                              "variances": [float("nan"), 1.0]},
+                             "mixture variances must be >= 0"),
 }
 
 
@@ -411,6 +435,10 @@ BAD_CHANNELS = {
                         "'num_taps' must be an integer >= 1, got '3'"),
     "list-factor-method": ({"kind": "conditioned", "factor_method": ["haar"]},
                            "unknown factor_method ['haar']"),
+    "inf-kappa": ({"kind": "conditioned", "kappa": float("inf")},
+                  "condition number must be finite, got inf"),
+    "inf-doppler-rate": (fading(doppler_rate=float("inf")),
+                         "doppler_rate must be finite, got inf"),
 }
 
 
@@ -727,6 +755,33 @@ class TestCli:
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.0"]
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        ({"base": {"source": {"kind": "gaussian", "n": 32, "seed": 1}},
+          "points": [{"beta": 1.0}, 5]},
+         "sweep grid point 1 must be a JSON object, got 5"),
+        ([{"source": {"kind": "gaussian", "n": 32, "seed": 1}}, 5],
+         "sweep grid point 1 must be a JSON object, got 5"),
+        ({"points": 5}, "a sweep grid is a JSON list of objects"),
+        (5, "a sweep grid is a JSON list of objects"),
+    ], ids=["base-points", "list", "points-not-a-list", "number"])
+    def test_sweep_grid_point_not_an_object_exits_2(self, grid, message,
+                                                    tmp_path, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["sweep", str(grid_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rmoamp: {message}")
+
+    def test_infinite_kappa_from_key_value_text_exits_1(self, tmp_path,
+                                                        capsys):
+        code = main(["run", self.write_config(tmp_path),
+                     "--set", "channel.kind=conditioned",
+                     "--set", "channel.kappa=Infinity"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split(",")[-1] == "2"  # num_errors
 
     def test_inspect_conditioned_channel(self, tmp_path, capsys):
         out_csv = tmp_path / "spectrum.csv"

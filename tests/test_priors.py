@@ -55,6 +55,11 @@ class TestWiener:
         with pytest.raises(InvalidParameterError):
             AnalyticGaussianPrior(var0=-1.0)
 
+    def test_rejects_nan_variance(self):
+        # a NaN var0 faulted every iteration and still reported a PSNR
+        with pytest.raises(InvalidParameterError):
+            AnalyticGaussianPrior(var0=float("nan"))
+
 
 class TestGaussianMixture:
     def test_matches_brute_force_oracle(self):
@@ -115,6 +120,10 @@ class TestGaussianMixture:
             GaussianMixturePrior((0.5, 0.5), (0, 1, 2), (1, 1))
         with pytest.raises(InvalidParameterError):
             GaussianMixturePrior((-0.5, 1.5), (0, 1), (1, 1))
+
+    def test_rejects_nan_variance(self):
+        with pytest.raises(InvalidParameterError):
+            GaussianMixturePrior((0.5, 0.5), (0, 1), (float("nan"), 1))
 
     @pytest.mark.parametrize("params", [
         (1.0, 0.0, 1.0),                                   # scalars

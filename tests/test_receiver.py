@@ -244,7 +244,7 @@ class TestReceiverConfig:
         assert cfg.divergence_seed == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": 0}, {"tolerance": 0.0},
+        {"max_iters": 0}, {"tolerance": 0.0}, {"tolerance": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
