@@ -479,8 +479,8 @@ def transmit(ch, x, noise_seed):
 def fading_profile(spec):
     """FadingProfile from a spec dict; missing keys take the 3-tap defaults.
 
-    A count or number of the wrong type raises InvalidParameterError naming
-    the key.
+    A count or number of the wrong type, or a number that is not finite,
+    raises InvalidParameterError naming the key.
     """
     label = "channel spec"
     return FadingProfile(

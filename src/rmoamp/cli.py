@@ -23,6 +23,7 @@ from . import channel as channel_mod
 from .errors import RmOampError
 from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, run_experiment,
                          sweep)
+from .fileio import csv_text
 
 __all__ = ["main", "parse_config_text", "config_from_dict"]
 
@@ -133,9 +134,7 @@ def _cmd_inspect_channel(args):
         print(f"rayleigh_ks_statistic={stat!r} pvalue={pvalue!r}")
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write("index,singular_value\n")
-            for i, val in enumerate(s):
-                fh.write(f"{i},{float(val)!r}\n")
+            fh.write(csv_text(("index", "singular_value"), enumerate(s)))
     return 0
 
 

@@ -20,39 +20,31 @@ import time
 
 import numpy as np
 
-from .bridge import REQUEST_MAGIC, _REQ_HEAD, encode_response
+from .bridge import _REQ_HEAD, decode_request, encode_response
+from .errors import BridgeProtocolError
 
 LATE_DELAY = 1.0
-
-
-def _read_exact(stream, nbytes):
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = stream.read(nbytes - got)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
 
 
 def serve(stdin, stdout, mode="echo", scale=1.0):
     """Answer requests until the client closes; returns the exit status.
 
-    A client that resets the stream, say by closing with a reply unread,
-    ends the loop as EOF does.
+    ``stdin`` is buffered, so ``read(n)`` stops short only at EOF.  EOF in
+    a header ends the loop with 0, as does a client that resets the stream
+    (say by closing with a reply unread); a bad magic or a short payload
+    ends it with 1.
     """
     try:
         while True:
-            head = _read_exact(stdin, _REQ_HEAD.size)
-            if head is None:
+            head = stdin.read(_REQ_HEAD.size)
+            if len(head) < _REQ_HEAD.size:
                 return 0
-            magic, n, t_star, v = _REQ_HEAD.unpack(head)
-            if magic != REQUEST_MAGIC:
+            try:
+                n, _, _ = decode_request(head)
+            except BridgeProtocolError:
                 return 1
-            payload = _read_exact(stdin, 4 * n)
-            if payload is None:
+            payload = stdin.read(4 * n)
+            if len(payload) < 4 * n:
                 return 1
             values = np.frombuffer(payload, dtype="<f4")
 

@@ -30,7 +30,7 @@ from .diffusion import (DdimPrior, DdimSchedule, FlowMatchingPrior,
                         default_ddim_schedule, gaussian_eps_predictor,
                         gaussian_velocity_predictor)
 from .errors import InvalidParameterError, RmOampError
-from .fileio import write_matrix, write_pgm
+from .fileio import csv_cell, csv_text, write_matrix, write_pgm
 from .metrics import psnr, ssim
 from .priors import (AnalyticGaussianPrior, DctSoftThresholdPrior,
                      GaussianMixturePrior)
@@ -67,9 +67,9 @@ SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
 class ExperimentConfig:
     """One grid point: source, compression, channel, prior, loop knobs, seeds.
 
-    A number or count of the wrong type, a beta outside (0, 1], a negative
-    sigma or seed, a tolerance that is not > 0 (NaN included) and a count
-    below 1 raise InvalidParameterError.
+    A number or count of the wrong type, a number that is not finite, a beta
+    outside (0, 1], a negative sigma or seed, a tolerance that is not > 0
+    and a count below 1 raise InvalidParameterError.
     """
 
     source: object
@@ -97,9 +97,9 @@ class ExperimentConfig:
             spec_integer(fields, key, 0, label="config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.sigma >= 0:  # NaN too
+        if self.sigma < 0:
             raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.tolerance > 0:  # NaN too
+        if self.tolerance <= 0:
             raise InvalidParameterError(
                 f"tolerance must be > 0, got {self.tolerance}")
 
@@ -165,26 +165,21 @@ class MetricReport:
         return self._agg("nfe", np.mean)
 
     def trials_csv(self):
-        lines = [",".join(TRIAL_COLUMNS)]
-        for t in self.trials:
-            lines.append(",".join([
-                str(t.trial), repr(float(t.psnr)), repr(float(t.ssim)),
-                str(t.iterations), str(t.nfe), str(t.faults),
-                t.error.replace(",", ";")]))
-        return "\n".join(lines) + "\n"
+        return csv_text(TRIAL_COLUMNS, (
+            [t.trial, float(t.psnr), float(t.ssim), t.iterations, t.nfe,
+             t.faults, t.error] for t in self.trials))
 
     def aggregate_csv(self):
-        header = SWEEP_COLUMNS
-        return (",".join(header) + "\n" + ",".join(self.sweep_row()) + "\n")
+        return csv_text(SWEEP_COLUMNS, [self.sweep_row()])
 
     def sweep_row(self):
+        """The report's ``SWEEP_COLUMNS`` cells, as CSV cell strings."""
         cfg = self.config
-        return [repr(float(cfg.beta)), repr(float(cfg.sigma)),
-                _kind(cfg.prior), _kind(cfg.channel),
-                repr(self.mean_psnr), repr(self.std_psnr),
-                repr(self.mean_ssim), repr(self.std_ssim),
-                repr(self.mean_iterations), repr(self.mean_nfe),
-                str(len(self.trials)), str(self.num_errors)]
+        return [csv_cell(value) for value in (
+            float(cfg.beta), float(cfg.sigma), _kind(cfg.prior),
+            _kind(cfg.channel), self.mean_psnr, self.std_psnr, self.mean_ssim,
+            self.std_ssim, self.mean_iterations, self.mean_nfe,
+            len(self.trials), self.num_errors)]
 
 
 def _kind(spec):
@@ -201,8 +196,9 @@ def build_prior(spec):
     trained network; external-bridge takes ``argv`` (spawn) or
     ``host``/``port`` (connect) plus optional ``timeout`` and ``snr_kind``.
 
-    A spec that is not a dict, a spec without one of its kind's keys, a
-    number, count or list of numbers of the wrong type, a bridge ``argv``
+    A spec or ``predictor`` spec that is not a dict, a spec without one of
+    its kind's keys, a number, count or list of numbers of the wrong type, a
+    number that is not finite, a negative predictor ``var0``, a bridge ``argv``
     that is not a non-empty list of strings or a ``host`` that is not a
     string, and a bridge that cannot be started or reached raise
     InvalidParameterError naming the key or the cause.
@@ -275,11 +271,17 @@ def _prior_from_spec(spec):
 
 
 def _build_predictor(spec, sampler_kind):
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(
+            f"predictor must be a spec dict, got {spec!r}")
     kind = spec.get("kind", "gaussian")
     if kind != "gaussian":
         raise InvalidParameterError(f"unknown predictor kind {kind!r}")
     mean = spec_numbers(spec, "mean", 0, 0.0, "predictor spec")
     var0 = spec_numbers(spec, "var0", 0, 1.0, "predictor spec")
+    if var0 < 0:
+        raise InvalidParameterError(
+            f"predictor spec 'var0' must be >= 0, got {var0!r}")
     if sampler_kind == "ddim":
         return gaussian_eps_predictor(mean=mean, var0=var0)
     return gaussian_velocity_predictor(mean=mean, var0=var0)
@@ -293,6 +295,11 @@ def _resolve_output_dir(path):
         path = os.path.join(root, path)
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _write_text(out_dir, name, text):
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text)
 
 
 def _save_reconstruction(out_dir, trial, estimate):
@@ -386,17 +393,13 @@ def run_experiment(cfg):
                 continue
             report.trials.append(result)
             if out_dir is not None:
-                trace_path = os.path.join(out_dir, f"trace_trial{trial}.csv")
-                with open(trace_path, "w") as fh:
-                    fh.write(trace.to_csv())
+                _write_text(out_dir, f"trace_trial{trial}.csv", trace.to_csv())
                 _save_reconstruction(out_dir, trial, estimate)
     finally:
         _close_prior(prior)
     if out_dir is not None:
-        with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
-            fh.write(report.trials_csv())
-        with open(os.path.join(out_dir, "aggregate.csv"), "w") as fh:
-            fh.write(report.aggregate_csv())
+        _write_text(out_dir, "trials.csv", report.trials_csv())
+        _write_text(out_dir, "aggregate.csv", report.aggregate_csv())
     return report
 
 
@@ -426,16 +429,9 @@ def sweep(grid, output_dir=None):
         return (cfg.beta, channel_mod.spec_key(cfg.channel), cfg.channel_seed,
                 cfg.sigma, i)
 
-    order = sorted(range(len(grid)), key=order_key)
-    lines = [",".join(SWEEP_COLUMNS)]
-    reports = []
-    for i in order:
-        report = run_experiment(grid[i])
-        reports.append(report)
-        lines.append(",".join(report.sweep_row()))
-    text = "\n".join(lines) + "\n"
+    reports = [run_experiment(grid[i])
+               for i in sorted(range(len(grid)), key=order_key)]
+    text = csv_text(SWEEP_COLUMNS, (r.sweep_row() for r in reports))
     if output_dir is not None:
-        out_dir = _resolve_output_dir(output_dir)
-        with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-            fh.write(text)
+        _write_text(_resolve_output_dir(output_dir), "sweep.csv", text)
     return text, reports

@@ -1,8 +1,14 @@
-"""On-disk formats: raw float64 matrices and 8-bit binary PGM images.
+"""On-disk formats: raw float64 matrices, 8-bit binary PGM images and CSV.
 
 Matrix format ("OAMPMAT1"): an 8-byte magic, two little-endian uint64 dims
 (rows, cols), then rows*cols little-endian IEEE-754 float64 values in
 row-major order.  Big-endian is never used.
+
+CSV format: a header line, then one line per row, every line ending in
+``\n`` and cells joined by ``,`` with no quoting.  A float (numpy floats
+included) is written as ``repr(float(x))``, ``None`` as an empty cell, and
+anything else with ``str``, each comma becoming ``;`` and each newline a
+space, so every line splits into as many cells as the header.
 """
 
 import os
@@ -14,7 +20,8 @@ from .errors import InvalidParameterError
 
 MAT_MAGIC = b"OAMPMAT1"
 
-__all__ = ["MAT_MAGIC", "write_matrix", "read_matrix", "read_pgm", "write_pgm"]
+__all__ = ["MAT_MAGIC", "write_matrix", "read_matrix", "read_pgm", "write_pgm",
+           "csv_cell", "csv_text"]
 
 
 def write_matrix(path, arr):
@@ -108,3 +115,18 @@ def write_pgm(path, img):
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(img.tobytes())
+
+
+def csv_cell(value):
+    """One CSV cell of ``value`` by the module's CSV rule."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value).replace(",", ";").replace("\n", " ")
+
+
+def csv_text(header, rows):
+    """The header line, then one line per row of cells."""
+    return "".join(",".join(map(csv_cell, line)) + "\n"
+                   for line in (header, *rows))

@@ -24,6 +24,7 @@ from .errors import (DegenerateNleError, InvalidDimensionError,
                      InvalidMessageError, InvalidParameterError, NleError,
                      NoInformationError, RmOampError, SingularSystemError)
 from .diffusion import snr_match
+from .fileio import csv_text
 from .metrics import psnr
 from .priors import denoise
 from .rm_operator import rm_forward, rm_inverse
@@ -130,15 +131,10 @@ class IterationTrace:
 
     def to_csv(self):
         """One row per record; ``fault`` is empty on a clean iteration."""
-        lines = [",".join(TRACE_COLUMNS)]
-        for r in self.records:
-            values = (r.v_pri, r.v_post, r.v_orth, r.t_star, r.psnr,
-                      r.residual)
-            fault = (r.fault or "").replace(",", ";").replace("\n", " ")
-            lines.append(",".join([str(r.iteration)]
-                                  + [repr(float(val)) for val in values]
-                                  + [fault]))
-        return "\n".join(lines) + "\n"
+        return csv_text(TRACE_COLUMNS, (
+            [r.iteration, *map(float, (r.v_pri, r.v_post, r.v_orth, r.t_star,
+                                       r.psnr, r.residual)), r.fault]
+            for r in self.records))
 
 
 def init_state(y, n=None):

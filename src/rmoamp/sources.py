@@ -102,10 +102,10 @@ def load_source(spec):
 
     A spec without one of its kind's keys, a file that cannot be opened, a
     count or seed that is not a nonnegative integer (``n`` and
-    ``num_pieces`` at least 1), a ``mean`` or ``std`` that is not a number,
-    ``weights``, ``means`` and ``stds`` that are not lists of numbers of one
-    length, negative ``weights``, and a source that is neither a string nor a dict raise
-    InvalidParameterError naming the key or path.
+    ``num_pieces`` at least 1), a ``mean`` or ``std`` that is not a finite
+    number, ``weights``, ``means`` and ``stds`` that are not lists of finite
+    numbers of one length, negative ``weights``, and a source that is neither
+    a string nor a dict raise InvalidParameterError naming the key or path.
     """
     if isinstance(spec, str):
         spec = {"kind": "pgm" if spec.endswith(".pgm") else "matrix",
@@ -137,9 +137,9 @@ def spec_integer(spec, key, low, default=None, label="source spec"):
 
 def spec_numbers(spec, key, ndim, default=None, label="source spec"):
     """``spec[key]``, or ``default`` when given and the key is absent, when
-    it is a number (``ndim`` 0), a flat list of numbers (``ndim`` 1) or
-    numbers of any shape (``ndim`` None); ``label`` names the spec in the
-    error."""
+    it is a finite number (``ndim`` 0), a flat list of finite numbers
+    (``ndim`` 1) or finite numbers of any shape (``ndim`` None); ``label``
+    names the spec in the error."""
     value = spec[key] if default is None else spec.get(key, default)
     try:
         array = np.asarray(value)
@@ -150,6 +150,9 @@ def spec_numbers(spec, key, ndim, default=None, label="source spec"):
         what = {0: "a number", 1: "a list of numbers", None: "numbers"}[ndim]
         raise InvalidParameterError(
             f"{label} {key!r} must be {what}, got {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise InvalidParameterError(
+            f"{label} {key!r} must be finite, got {value!r}")
     return value
 
 

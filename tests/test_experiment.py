@@ -98,11 +98,14 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError):
             toy_config(num_trials=0)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1e-4])
-    def test_tolerance_must_be_positive(self, tolerance):
+    @pytest.mark.parametrize("tolerance,message", [
+        (float("nan"), "config 'tolerance' must be finite, got nan"),
+        (0.0, "tolerance must be > 0, got 0.0"),
+        (-1e-4, "tolerance must be > 0, got -0.0001")],
+        ids=["nan", "0.0", "-0.0001"])
+    def test_tolerance_must_be_positive(self, tolerance, message):
         # a NaN tolerance never converges: the loop ran to max_iters
-        with pytest.raises(InvalidParameterError,
-                           match=f"tolerance must be > 0, got {tolerance}"):
+        with pytest.raises(InvalidParameterError, match=message):
             toy_config(tolerance=tolerance)
 
     def test_receiver_config_offsets_divergence_seed(self):
@@ -382,11 +385,20 @@ BAD_PRIORS = {
     "int-host": ({"kind": "external-bridge", "host": 5, "port": 9},
                  "prior spec 'host' must be a string, got 5"),
     "nan-var0": ({"kind": "analytic-gaussian", "var0": float("nan")},
-                 "prior variance must be >= 0"),
+                 "prior spec 'var0' must be finite, got nan"),
     "nan-mixture-variance": ({"kind": "analytic-gauss-mixture",
                               "weights": [0.5, 0.5], "means": [0.0, 0.0],
                               "variances": [float("nan"), 1.0]},
-                             "mixture variances must be >= 0"),
+                             "prior spec 'variances' must be finite, "
+                             "got [nan, 1.0]"),
+    "word-predictor": ({"kind": "ddim", "predictor": "x"},
+                       "predictor must be a spec dict, got 'x'"),
+    "list-predictor": ({"kind": "flow-matching", "predictor": [1]},
+                       "predictor must be a spec dict, got [1]"),
+    "negative-predictor-var0": ({"kind": "ddim",
+                                 "predictor": {"var0": -1.0}},
+                                "predictor spec 'var0' must be >= 0, "
+                                "got -1.0"),
 }
 
 
@@ -426,7 +438,8 @@ BAD_CHANNELS = {
                           "channel spec 'doppler_rate' must be a number, "
                           "got 'x'"),
     "nan-doppler-rate": (fading(doppler_rate=float("nan")),
-                         "doppler_rate must be >= 0, got nan"),
+                         "channel spec 'doppler_rate' must be finite, "
+                         "got nan"),
     "word-num-symbols": (fading(num_symbols="x"),
                          "'num_symbols' must be an integer >= 1, got 'x'"),
     "word-tap-powers": (fading(tap_powers="abc"),
@@ -438,7 +451,8 @@ BAD_CHANNELS = {
     "inf-kappa": ({"kind": "conditioned", "kappa": float("inf")},
                   "condition number must be finite, got inf"),
     "inf-doppler-rate": (fading(doppler_rate=float("inf")),
-                         "doppler_rate must be finite, got inf"),
+                         "channel spec 'doppler_rate' must be finite, "
+                         "got inf"),
 }
 
 
@@ -465,6 +479,111 @@ class TestBadChannel:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+
+# every number-valued key of a spec kind, as the config fields that set it
+# to a value; a list-valued key gets the value as one of its entries
+SPEC_NUMBER_KEYS = {
+    "gaussian-source-mean": lambda x: {"source": dict(
+        kind="gaussian", n=64, seed=9, mean=x)},
+    "gaussian-source-std": lambda x: {"source": dict(
+        kind="gaussian", n=64, seed=9, std=x)},
+    "mixture-source-weights": lambda x: {"source": dict(
+        kind="gauss-mixture", n=64, seed=9, weights=[0.5, x], means=[0.0, 0.0],
+        stds=[1.0, 1.0])},
+    "mixture-source-means": lambda x: {"source": dict(
+        kind="gauss-mixture", n=64, seed=9, weights=[0.5, 0.5], means=[0.0, x],
+        stds=[1.0, 1.0])},
+    "mixture-source-stds": lambda x: {"source": dict(
+        kind="gauss-mixture", n=64, seed=9, weights=[0.5, 0.5],
+        means=[0.0, 0.0], stds=[1.0, x])},
+    "conditioned-kappa": lambda x: {"channel": dict(
+        kind="conditioned", kappa=x)},
+    "fading-tap-powers": lambda x: {"channel": fading(
+        tap_powers=[0.6, x, 0.1])},
+    "fading-doppler-rate": lambda x: {"channel": fading(doppler_rate=x)},
+    "analytic-mean": lambda x: {"prior": dict(
+        kind="analytic-gaussian", mean=x)},
+    "analytic-var0": lambda x: {"prior": dict(
+        kind="analytic-gaussian", var0=x)},
+    "mixture-weights": lambda x: {"prior": dict(
+        kind="analytic-gauss-mixture", weights=[0.5, x], means=[0.0, 0.0],
+        variances=[1.0, 1.0])},
+    "mixture-means": lambda x: {"prior": dict(
+        kind="analytic-gauss-mixture", weights=[0.5, 0.5], means=[0.0, x],
+        variances=[1.0, 1.0])},
+    "mixture-variances": lambda x: {"prior": dict(
+        kind="analytic-gauss-mixture", weights=[0.5, 0.5], means=[0.0, 0.0],
+        variances=[1.0, x])},
+    "ddim-alpha-bar": lambda x: {"prior": dict(
+        kind="ddim", alpha_bar=[0.9, x, 0.1])},
+    "ddim-alpha-start": lambda x: {"prior": dict(
+        kind="ddim", num_steps=5, alpha_start=x)},
+    "ddim-alpha-end": lambda x: {"prior": dict(
+        kind="ddim", num_steps=5, alpha_end=x)},
+    "ddim-predictor-mean": lambda x: {"prior": dict(
+        kind="ddim", num_steps=5, predictor={"mean": x})},
+    "ddim-predictor-var0": lambda x: {"prior": dict(
+        kind="ddim", num_steps=5, predictor={"var0": x})},
+    "flow-predictor-mean": lambda x: {"prior": dict(
+        kind="flow-matching", num_steps=3, predictor={"mean": x})},
+    "flow-predictor-var0": lambda x: {"prior": dict(
+        kind="flow-matching", num_steps=3, predictor={"var0": x})},
+    "bridge-timeout": lambda x: {"prior": dict(
+        kind="external-bridge", argv=ECHO_ARGV, timeout=x)},
+}
+CONFIG_NUMBER_KEYS = ("beta", "sigma", "tolerance")
+NON_FINITE = pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")],
+    ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteNumbers:
+    """No number-valued key takes NaN or an infinity: a config key fails
+    the config, any other key fails every trial."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("key", CONFIG_NUMBER_KEYS)
+    def test_config_key_is_refused(self, key, value):
+        with pytest.raises(InvalidParameterError,
+                           match=f"config '{key}' must be finite"):
+            toy_config(**{key: value})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", sorted(SPEC_NUMBER_KEYS))
+    def test_spec_key_gives_one_error_row_per_trial(self, name, value):
+        report = run_experiment(toy_config(
+            beta=0.5, sigma=0.1, max_iters=3, num_trials=2,
+            **SPEC_NUMBER_KEYS[name](value)))
+        assert [t.trial for t in report.trials] == [0, 1]
+        assert report.num_errors == report.config.num_trials
+
+
+def test_every_csv_line_has_a_cell_per_column(tmp_path, capsys):
+    # a prior kind with a comma, a list-valued kind and error texts with
+    # commas ("unknown prior kind 'ddim,'") must not add cells
+    grid = [toy_config(prior={"kind": "ddim,"}, num_trials=2,
+                       output_dir=str(tmp_path / "comma")),
+            toy_config(prior={"kind": ["a", "b"]},
+                       output_dir=str(tmp_path / "list")),
+            toy_config(beta=0.5, sigma=0.1, max_iters=3,
+                       output_dir=str(tmp_path / "good"))]
+    text, reports = sweep(grid, output_dir=str(tmp_path))
+    assert sorted(r.num_errors for r in reports) == [0, 1, 2]
+    assert main(["inspect-channel", "--kind", "conditioned", "--dim", "16",
+                 "--output", str(tmp_path / "spectrum.csv")]) == 0
+    capsys.readouterr()
+    paths = [tmp_path / "sweep.csv", tmp_path / "spectrum.csv",
+             tmp_path / "good" / "trace_trial0.csv"]
+    for point in ("comma", "list", "good"):
+        paths += [tmp_path / point / "trials.csv",
+                  tmp_path / point / "aggregate.csv"]
+    for path in paths:
+        header, *rows = path.read_text().split("\n")[:-1]
+        assert rows, path
+        width = len(header.split(","))
+        assert [len(row.split(",")) for row in rows] == [width] * len(rows), (
+            path)
 
 
 def test_sweep_gives_rows_for_specs_that_are_not_dicts():

@@ -1,4 +1,5 @@
-"""Raw matrix and PGM formats: golden bytes, round trips, malformed input."""
+"""Raw matrix, PGM and CSV formats: golden bytes, round trips, malformed
+input."""
 
 import struct
 
@@ -12,6 +13,7 @@ from rmoamp import (
     write_matrix,
     write_pgm,
 )
+from rmoamp.fileio import csv_cell, csv_text
 
 
 class TestMatrixFormat:
@@ -129,3 +131,30 @@ class TestPgmFormat:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             write_pgm(tmp_path / "x.pgm", np.zeros(4))
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("value, cell", [
+        (1.0, "1.0"),
+        (0.1, "0.1"),
+        (np.float64(1) / 3, repr(1 / 3)),
+        (np.float32(0.5), "0.5"),
+        (float("nan"), "nan"),
+        (float("-inf"), "-inf"),
+        (None, ""),
+        (3, "3"),
+        (np.int64(7), "7"),
+        ("ddim", "ddim"),
+        ("a, b\nc", "a; b c"),
+        (["a", "b"], "['a'; 'b']"),
+    ])
+    def test_cell_rule(self, value, cell):
+        assert csv_cell(value) == cell
+
+    def test_golden_text(self):
+        text = csv_text(("n", "x", "note"),
+                        [[0, 0.25, None], [1, np.float64(2), "x,y"]])
+        assert text == "n,x,note\n0,0.25,\n1,2.0,x;y\n"
+
+    def test_header_only(self):
+        assert csv_text(("a", "b"), []) == "a,b\n"
