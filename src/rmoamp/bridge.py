@@ -219,11 +219,17 @@ class BridgePrior:
     """
 
     def __init__(self, client, snr_kind="flow-matching"):
-        if snr_kind not in ("flow-matching", "ddim", None):
-            raise InvalidParameterError(f"unknown snr kind {snr_kind!r}")
+        self.check_snr_kind(snr_kind)
         self.client = client
         self.snr_kind = snr_kind
         self.eval_count = 0
+
+    @staticmethod
+    def check_snr_kind(snr_kind):
+        """Raise InvalidParameterError unless ``snr_kind`` is one this prior
+        takes; a caller can check before it starts a client."""
+        if snr_kind not in ("flow-matching", "ddim", None):
+            raise InvalidParameterError(f"unknown snr kind {snr_kind!r}")
 
     def denoise(self, s_in, t_star, v):
         self.eval_count += 1

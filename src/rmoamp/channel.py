@@ -9,14 +9,16 @@ keeps the law of everything the receiver sees (see
 :func:`gen_conditioned_channel`).  The identity and ``fast`` factors are
 square :class:`~rmoamp.rm_operator.OrthoFactor` operators, the factor class
 of the compression operator, which hold O(dim) state and apply in
-O(dim log dim).  A Haar V is kept as Householder reflectors plus their
-``nb x dim`` block T factors (:class:`WyFactor`): the reflectors are drawn
-straight from Gaussian vectors (Stewart's construction, O(dim^2), no QR of
-a dense draw), the orthogonal matrix is never formed, and LAPACK
-``dgemqrt`` applies them in O(dim^2).  The fading channel is banded and is
-stored as the band of its complex matrix (:class:`BandFactor`), not as SVD
-factors: O(dim * num_taps) state, applies by complex banded BLAS and an
-LMMSE step by banded Cholesky.  Three generators are provided:
+O(dim log dim).  A Haar V is kept as panels of 64 Householder reflectors
+plus each panel's block T factor (:class:`WyFactor`), about ``dim^2 / 2``
+floats in all: the reflectors are drawn straight from Gaussian vectors
+(Stewart's construction, O(dim^2), no QR of a dense draw) into the panels,
+the orthogonal matrix is never formed, and numpy's matrix-vector products
+apply them in O(dim^2), so a Haar channel loads no scipy.  The fading
+channel is banded and is stored as the band of its complex matrix
+(:class:`BandFactor`), not as SVD factors: O(dim * num_taps) state, applies
+by complex banded BLAS and an LMMSE step by banded Cholesky.  Three
+generators are provided:
 
 * identity (pure-compression AWGN baseline),
 * controlled-conditioning with a Haar-like right factor and a chosen
@@ -114,31 +116,42 @@ class BandFactor(_Factor):
 
 @dataclass(frozen=True, eq=False)
 class WyFactor(_Factor):
-    """Orthogonal ``dim x dim`` matrix ``Q D`` kept in compact-WY form.
+    """Orthogonal ``dim x dim`` matrix ``Q D`` kept as blocked reflectors.
 
-    ``Q = H_1 H_2 ... H_dim`` is the product of the Householder reflectors
-    stored below the diagonal of ``v`` in LAPACK ``dgeqrt``'s layout (unit
-    diagonal implied); ``t`` holds their ``nb x dim`` upper-triangular block
-    factors (Schreiber & Van Loan, 1989) and ``D = diag(signs)``.  ``@``
-    applies ``Q D`` (or ``D Q^T`` through ``.T``) by ``dgemqrt``.
-    ``scipy.linalg`` is imported on first use.
+    ``Q = H_1 H_2 ... H_dim`` is the product of Householder reflectors,
+    grouped into panels of ``_PANEL`` consecutive ones.  Panel b is a
+    Fortran-ordered ``(dim - b _PANEL) x width`` array ``V_b`` holding the
+    reflector vectors from row ``b _PANEL`` down, unit-lower (ones on its
+    diagonal, zeros above); ``t_blocks[b]`` is its upper-triangular
+    ``width x width`` factor ``T_b`` (Schreiber & Van Loan, 1989), so that
+    the panel's reflectors multiply to ``I - V_b T_b V_b^T``, and
+    ``D = diag(signs)``.  ``@`` applies ``Q D`` (or ``D Q^T`` through
+    ``.T``) one panel at a time, by two matrix-vector products each.
     """
 
-    v: np.ndarray
-    t: np.ndarray
+    panels: tuple
+    t_blocks: tuple
     signs: np.ndarray
     transposed: bool = False
 
     @property
     def shape(self):
-        return self.v.shape
+        return (self.signs.size,) * 2
 
     def _apply(self, x):
-        from scipy.linalg.lapack import dgemqrt
-
+        dim = self.signs.size
         if self.transposed:
-            return dgemqrt(self.v, self.t, x, trans="T")[0] * self.signs
-        return dgemqrt(self.v, self.t, x * self.signs, overwrite_c=True)[0]
+            # D Q^T: the panels' transposes, first panel first
+            y = x.copy()
+            for v, t in zip(self.panels, self.t_blocks):
+                tail = y[dim - v.shape[0]:]
+                tail -= v @ (t.T @ (v.T @ tail))
+            return y * self.signs
+        y = x * self.signs
+        for v, t in zip(self.panels[::-1], self.t_blocks[::-1]):
+            tail = y[dim - v.shape[0]:]
+            tail -= v @ (t @ (v.T @ tail))
+        return y
 
 
 @dataclass(frozen=True)
@@ -254,12 +267,12 @@ def gen_identity_channel(dim, sigma2):
                            meta={"type": "identity", "dim": int(dim)})
 
 
-# compact-WY block size: the rows of WyFactor.t
-_WY_BLOCK = 32
+# reflectors per WyFactor panel, a power of two (T merges groups pairwise)
+_PANEL = 64
 
 
 def _haar_orthogonal(dim, rng):
-    """Haar-distributed orthogonal factor as compact-WY reflectors.
+    """Haar-distributed orthogonal factor as panels of reflectors.
 
     Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Householder QR
     of a Gaussian matrix meets, at step k, a column that is again iid
@@ -268,60 +281,60 @@ def _haar_orthogonal(dim, rng):
     trailing update is run.  The sign fix ``D = sign(diag R)`` (Mezzadri,
     2007) makes ``Q D`` exactly Haar.
 
-    Draw layout (the map from seed to factor): one
-    ``rng.standard_normal(dim * (dim + 1) // 2)`` call; column k of ``v``
-    takes the next ``dim - k`` values, ``x``.  The reflector follows LAPACK
-    ``dlarfg``: ``beta = -sign(x[0]) ||x||``, ``tau = (beta - x[0]) / beta``
-    and the stored vector is ``x[1:] / (x[0] - beta)``; when ``x[1:]`` is
-    zero, ``tau = 0`` and ``beta = x[0]``.  ``signs`` is -1 where
-    ``beta < 0`` and +1 elsewhere.  ``v`` holds ``beta`` on its diagonal and
-    ``t`` the ``dlarft`` block factors, both Fortran-ordered as ``dgeqrt``
-    would return them, so ``dgemqrt`` applies them without a copy.
+    Draw layout (the map from seed to factor): reflector k takes the next
+    ``dim - k`` values of the stream, ``x``, so the whole factor reads the
+    values of one ``rng.standard_normal(dim * (dim + 1) // 2)`` call; each
+    panel draws its share with one call.  The reflector follows
+    LAPACK ``dlarfg``: ``beta = -sign(x[0]) ||x||``,
+    ``tau = (beta - x[0]) / beta`` and the stored vector is
+    ``(1, x[1:] / (x[0] - beta))``; when ``x[1:]`` is zero, ``tau = 0`` and
+    ``beta = x[0]``.  ``signs`` is -1 where ``beta < 0`` and +1 elsewhere.
     """
-    # column k of v from its diagonal down: the lower triangle of v in
-    # Fortran order is the upper triangle of v.T in C order
-    v = np.zeros((dim, dim), order="F")
-    v.T[~np.tri(dim, k=-1, dtype=bool)] = rng.standard_normal(
-        dim * (dim + 1) // 2)
-    diag = v.T.reshape(-1)[::dim + 1]
-    alpha = diag.copy()
-    diag[:] = 0.0
-    xnorm = np.sqrt(np.einsum("ij,ij->j", v, v))
-    reflect = xnorm > 0.0
-    beta = np.where(reflect, -np.copysign(np.hypot(alpha, xnorm), alpha),
-                    alpha)
-    tau = np.divide(beta - alpha, beta, out=np.zeros(dim), where=reflect)
-    v *= np.divide(1.0, alpha - beta, out=np.zeros(dim), where=reflect)
-    # the T factors need the unit diagonal; dgeqrt's layout keeps beta there
-    diag[:] = 1.0
-    t = _block_t(v, tau, min(_WY_BLOCK, dim))
-    diag[:] = beta
-    # an exactly-zero beta takes +1: np.sign would zero a column
-    return WyFactor(v=v, t=t, signs=np.where(beta < 0, -1.0, 1.0))
-
-
-def _block_t(v, tau, nb):
-    """``dlarft``'s forward columnwise T factors of unit-lower ``v``.
-
-    Block b (columns ``b nb`` on) gets ``S = V_b^T V_b``; the recurrence
-    ``T[:i, i] = -tau_i T[:i, :i] S[:i, i]`` then runs over the ``nb``
-    columns for all blocks at once.  Returns the ``nb x dim`` Fortran array
-    that ``dgeqrt`` returns.
-    """
-    dim = v.shape[0]
-    blocks = -(-dim // nb)
-    gram = np.zeros((blocks, nb, nb))
-    for b in range(blocks):
-        vb = v[b * nb:, b * nb:(b + 1) * nb]
-        gram[b, :vb.shape[1], :vb.shape[1]] = vb.T @ vb
-    taus = np.pad(tau, (0, blocks * nb - dim)).reshape(blocks, nb)
-    t = np.zeros((blocks, nb, nb))
-    for i in range(nb):
-        t[:, :i, i] = -taus[:, i, None] * np.matmul(
-            t[:, :i, :i], gram[:, :i, i, None])[..., 0]
-        t[:, i, i] = taus[:, i]
-    return np.asfortranarray(
-        t.transpose(1, 0, 2).reshape(nb, blocks * nb)[:, :dim])
+    count = -(-dim // _PANEL)
+    panels = []
+    signs = np.empty(dim)
+    # each panel's V^T V above the diagonal and its taus on it, turned into
+    # T below
+    t = np.zeros((count, _PANEL, _PANEL))
+    for b in range(count):
+        rows, width = dim - b * _PANEL, min(_PANEL, dim - b * _PANEL)
+        panel = np.zeros((rows, width), order="F")
+        # column j from its diagonal down: the panel's lower triangle in
+        # Fortran order is the upper triangle of panel.T in C order
+        panel.T[~np.tri(width, rows, k=-1, dtype=bool)] = rng.standard_normal(
+            width * rows - width * (width - 1) // 2)
+        diag = panel.T.reshape(-1)[::rows + 1]
+        alpha = diag.copy()
+        diag[:] = 0.0
+        xnorm = np.sqrt(np.einsum("ij,ij->j", panel, panel))
+        reflect = xnorm > 0.0
+        beta = np.where(reflect,
+                        -np.copysign(np.hypot(alpha, xnorm), alpha), alpha)
+        panel *= np.divide(1.0, alpha - beta, out=np.zeros(width),
+                           where=reflect)
+        diag[:] = 1.0
+        t[b, :width, :width] = np.triu(panel.T @ panel, 1)
+        np.fill_diagonal(t[b, :width, :width], np.divide(
+            beta - alpha, beta, out=np.zeros(width), where=reflect))
+        # an exactly-zero beta takes +1: np.sign would zero a column
+        signs[b * _PANEL:b * _PANEL + width] = np.where(beta < 0, -1.0, 1.0)
+        panels.append(panel)
+    # T of each panel, all panels at once, by merging neighbouring groups of
+    # reflectors up a binary tree: (I - V_L T_L V_L^T)(I - V_R T_R V_R^T) is
+    # I - [V_L V_R] [[T_L, -T_L S T_R], [0, T_R]] [V_L V_R]^T, where
+    # S = V_L^T V_R is stored just where its block of T goes
+    w = 1
+    while w < _PANEL:
+        j = np.arange(_PANEL // (2 * w))
+        groups = t.reshape(count, j.size, 2 * w, j.size, 2 * w)
+        groups[:, j, :w, j, w:] = -(groups[:, j, :w, j, :w]
+                                    @ groups[:, j, :w, j, w:]
+                                    @ groups[:, j, w:, j, w:])
+        w *= 2
+    return WyFactor(panels=tuple(panels),
+                    t_blocks=tuple(t[b, :p.shape[1], :p.shape[1]]
+                                   for b, p in enumerate(panels)),
+                    signs=signs)
 
 
 def _fast_orthogonal(dim, rng):
@@ -362,6 +375,8 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     default) or ``"fast"`` (seeded sign/DCT/permutation scrambling kept as
     an :class:`OrthoFactor`: O(dim) state, O(dim log dim) per apply).
     """
+    if dim < 1:
+        raise InvalidParameterError("dim must be >= 1")
     if (np.ndim(kappa) != 0 or np.asarray(kappa).dtype.kind not in "iuf"
             or not kappa >= 1):
         raise InvalidParameterError(
@@ -389,12 +404,16 @@ def sample_fading_taps(profile, seed, num_symbols=None):
 
     Each tap is a stationary complex Gaussian AR(1) process with variance
     ``tap_powers[l]`` and lag-1 autocorrelation matching the Jakes value
-    ``J0(2 pi doppler_rate)``.  ``scipy.special`` is imported on first use.
+    ``J0(2 pi doppler_rate)``.  ``num_symbols`` defaults to the profile's
+    and must be >= 1.  ``scipy.special`` is imported on first use.
     """
-    from scipy.special import j0
-
     if num_symbols is None:
         num_symbols = profile.num_symbols
+    if num_symbols < 1:
+        raise InvalidParameterError(
+            f"num_symbols must be >= 1, got {num_symbols!r}")
+    from scipy.special import j0
+
     rng = np.random.Generator(np.random.Philox(seed))
     a = float(j0(2.0 * np.pi * profile.doppler_rate))
     scale = np.sqrt(profile.tap_powers / 2.0)
@@ -413,8 +432,11 @@ def rayleigh_fit_statistic(profile, num_samples, seed):
 
     Amplitudes are normalized per tap by ``sqrt(tap_powers[l])`` so the
     pooled sample targets a single Rayleigh(scale=1/sqrt(2)) law.  Returns
-    ``(ks_statistic, p_value)``.
+    ``(ks_statistic, p_value)``; ``num_samples`` must be >= 1.
     """
+    if num_samples < 1:
+        raise InvalidParameterError(
+            f"num_samples must be >= 1, got {num_samples!r}")
     from scipy import stats
 
     num_symbols = int(np.ceil(num_samples / profile.num_taps))
@@ -495,12 +517,14 @@ _last_built = None
 
 
 def _freeze(ch):
-    """Make ``s`` and every array field of ``ch``'s factors read-only."""
+    """Make ``s`` and every array of ``ch``'s factors read-only, those in
+    tuple fields included."""
     for factor in (ch.u, ch.s, ch.vt):
-        for array in (vars(factor).values() if is_dataclass(factor)
+        for value in (vars(factor).values() if is_dataclass(factor)
                       else (factor,)):
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
 
 
 def spec_key(spec):

@@ -199,9 +199,10 @@ def build_prior(spec):
     A spec or ``predictor`` spec that is not a dict, a spec without one of
     its kind's keys, a number, count or list of numbers of the wrong type, a
     number that is not finite, a negative predictor ``var0``, a bridge ``argv``
-    that is not a non-empty list of strings or a ``host`` that is not a
-    string, and a bridge that cannot be started or reached raise
-    InvalidParameterError naming the key or the cause.
+    that is not a non-empty list of strings, a ``host`` that is not a string
+    or an unknown ``snr_kind`` (each found before a bridge is started), and a
+    bridge that cannot be started or reached raise InvalidParameterError
+    naming the key or the cause.
     """
     if not isinstance(spec, dict):
         raise InvalidParameterError(f"prior must be a spec dict, got {spec!r}")
@@ -255,6 +256,9 @@ def _prior_from_spec(spec):
         elif not isinstance(spec["host"], str):
             raise InvalidParameterError(
                 f"{_PRIOR} 'host' must be a string, got {spec['host']!r}")
+        # before a child or connection exists that the error would leave open
+        snr_kind = spec.get("snr_kind", "flow-matching")
+        BridgePrior.check_snr_kind(snr_kind)
         try:
             if "argv" in spec:
                 client = BridgeClient.spawn(argv, timeout=timeout)
@@ -265,8 +269,7 @@ def _prior_from_spec(spec):
         except OSError as exc:
             raise InvalidParameterError(
                 f"cannot start the prior's bridge: {exc}") from None
-        return BridgePrior(client, snr_kind=spec.get("snr_kind",
-                                                     "flow-matching"))
+        return BridgePrior(client, snr_kind=snr_kind)
     raise InvalidParameterError(f"unknown prior kind {kind!r}")
 
 

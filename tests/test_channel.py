@@ -99,6 +99,11 @@ class TestConditionedChannel:
         with pytest.raises(InvalidParameterError):
             rm.gen_conditioned_channel(8, 2.0, "linear", 0.0, seed=0,
                                        factor_method="butterfly")
+        for method in ("haar", "fast"):
+            with pytest.raises(InvalidParameterError,
+                               match="dim must be >= 1"):
+                rm.gen_conditioned_channel(0, 2.0, "linear", 0.0, seed=0,
+                                           factor_method=method)
 
 
 def drawn_fast_factor(dim, seed, m=None):
@@ -264,7 +269,8 @@ def law_misses(factors):
 
 
 class TestHaarFactor:
-    @pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 205])
+    @pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 63, 64, 65, 128, 129,
+                                     205])
     def test_matches_householder_product(self, dim):
         factor = _haar_orthogonal(dim,
                                   np.random.Generator(np.random.Philox(41)))
@@ -291,23 +297,34 @@ class TestHaarFactor:
         unsigned = [replace(f, signs=np.ones(3)) for f in factors]
         assert {"Q[0,0]", "(tr Q)^2"} <= law_misses(unsigned).keys()
 
-    @pytest.mark.parametrize("dim", [1, 33, 205])
-    def test_one_triangular_draw_and_fortran_layout(self, dim):
-        # dgemqrt copies a C-ordered v on every apply; the draw layout is
-        # the map from seed to channel
-        class Counting:
+    @pytest.mark.parametrize("dim", [1, 33, 64, 65, 205])
+    def test_panels_draw_one_triangular_stream(self, dim):
+        # the draw layout is the map from seed to channel: the panels'
+        # draws, in order, are one triangular draw to the bit
+        class Recording:
             def __init__(self):
                 self.rng = np.random.Generator(np.random.Philox(48))
-                self.sizes = []
+                self.draws = []
 
             def standard_normal(self, size):
-                self.sizes.append(size)
-                return self.rng.standard_normal(size)
+                self.draws.append(self.rng.standard_normal(size))
+                return self.draws[-1].copy()
 
-        rng = Counting()
+        rng = Recording()
         factor = _haar_orthogonal(dim, rng)
-        assert rng.sizes == [dim * (dim + 1) // 2]
-        assert factor.v.flags.f_contiguous and factor.t.flags.f_contiguous
+        reference = np.random.Generator(np.random.Philox(48)).standard_normal(
+            dim * (dim + 1) // 2)
+        assert np.array_equal(np.concatenate(rng.draws), reference)
+        # one draw per panel of up to 64 reflectors, each panel a unit-lower
+        # Fortran array from its first reflector's row down
+        assert len(rng.draws) == len(factor.panels) == -(-dim // 64)
+        for b, (panel, t) in enumerate(zip(factor.panels, factor.t_blocks)):
+            width = min(64, dim - 64 * b)
+            assert panel.shape == (dim - 64 * b, width)
+            assert panel.flags.f_contiguous
+            assert np.array_equal(np.triu(panel[:width]), np.eye(width))
+            assert t.shape == (width, width)
+            assert np.array_equal(np.tril(t, -1), np.zeros((width, width)))
 
     def test_rejects_wrong_shape(self):
         factor = _haar_orthogonal(8, np.random.Generator(np.random.Philox(43)))
@@ -333,7 +350,9 @@ class TestHaarFactor:
         assert np.max(np.abs(q.T @ q - np.eye(6))) < 1e-13
 
     def test_large_channel_holds_reflector_state(self):
-        # a dense Q formed by np.linalg.qr peaked at about 80 MiB here
+        # a dense Q formed by np.linalg.qr peaked at about 80 MiB here, a
+        # dense dim x dim reflector array applied by scipy's dgemqrt at
+        # 29.9 MiB; the panels hold 8.2 MiB
         dim = 1434
         tracemalloc.start()
         try:
@@ -345,11 +364,11 @@ class TestHaarFactor:
         finally:
             tracemalloc.stop()
         assert back.shape == (dim,) and np.all(np.isfinite(back))
-        assert peak < 56 * 2 ** 20
+        assert peak < 12 * 2 ** 20
 
     def test_build_holds_one_factor(self):
-        # a dim x dim reflector array is 15.7 MiB here; a build that drew U
-        # and V peaked at 41.6 MiB
+        # the panels are 8.2 MiB here; a build that drew U and V peaked at
+        # 41.6 MiB, one that drew V into a dense dim x dim array at 25.5 MiB
         tracemalloc.start()
         try:
             ch = rm.gen_conditioned_channel(1434, 10.0, "geometric", 0.01,
@@ -358,7 +377,7 @@ class TestHaarFactor:
         finally:
             tracemalloc.stop()
         assert isinstance(ch.vt, rm.WyFactor)
-        assert peak <= 28 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
 
 
 def protocol_factor(kind, dim):
@@ -490,6 +509,14 @@ class TestFadingTaps:
         ks, pv = rm.rayleigh_fit_statistic(p, num_samples=100000, seed=5)
         assert 0 < ks < 0.01
         assert pv > 0.01
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_no_samples(self, count):
+        p = make_profile()
+        with pytest.raises(InvalidParameterError, match="num_symbols"):
+            rm.sample_fading_taps(p, seed=1, num_symbols=count)
+        with pytest.raises(InvalidParameterError, match="num_samples"):
+            rm.rayleigh_fit_statistic(p, num_samples=count, seed=1)
 
 
 def realified_fading(profile, dim, seed):
@@ -727,7 +754,8 @@ class TestBuildSlot:
         HAAR, FADING, {"kind": "identity"},
         {"kind": "conditioned", "factor_method": "fast"}])
     def test_factor_arrays_are_read_only(self, spec):
-        ch = rm.build_channel(spec, 16, 0.0, seed=3)
+        # dim 130: a haar factor of three panels, the last 2 wide
+        ch = rm.build_channel(spec, 130, 0.0, seed=3)
         with pytest.raises(ValueError):
             ch.s[0] = 1.0
         if isinstance(ch.u, rm.BandFactor):
@@ -737,10 +765,14 @@ class TestBuildSlot:
             with pytest.raises(ValueError):
                 ch.u.gram[0, 0] = 1.0
             return
-        names = {rm.WyFactor: ("v", "t", "signs"),
-                 rm.OrthoFactor: ("signs", "perm")}
+        if isinstance(ch.vt, rm.WyFactor):
+            arrays = (*ch.vt.panels, *ch.vt.t_blocks, ch.vt.signs)
+            assert len(arrays) == 7
+            for array in arrays:
+                assert not array.flags.writeable
+            return
         for factor in (ch.u, ch.vt):
-            for name in names[type(factor)]:
+            for name in ("signs", "perm"):
                 array = getattr(factor, name)
                 assert array is None or not array.flags.writeable
 

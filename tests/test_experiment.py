@@ -13,7 +13,6 @@ import pytest
 
 from rmoamp import (
     AnalyticGaussianPrior,
-    BridgeClient,
     BridgePrior,
     DctSoftThresholdPrior,
     DdimPrior,
@@ -602,25 +601,6 @@ def test_word_kappa_gives_error_rows():
                for t in report.trials)
 
 
-@pytest.fixture
-def spawned(monkeypatch):
-    """Child processes started through BridgeClient.spawn, in order."""
-    procs = []
-    original = BridgeClient.spawn
-
-    def counting(cls, argv, timeout=5.0):
-        client = original(argv, timeout=timeout)
-        procs.append(client._proc)
-        return client
-
-    monkeypatch.setattr(BridgeClient, "spawn", classmethod(counting))
-    yield procs
-    for proc in procs:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
 class TestSharedPrior:
     def test_one_child_serves_every_trial(self, spawned):
         report = run_experiment(bridge_config())
@@ -628,6 +608,15 @@ class TestSharedPrior:
         assert [t.error for t in report.trials] == ["", "", ""]
         assert all(t.nfe == 2 * t.iterations for t in report.trials)
         assert spawned[0].poll() is not None  # reaped at the end
+
+    def test_bad_snr_kind_spawns_no_child(self, spawned):
+        # the prior's keys are checked before its child is started, so an
+        # error leaves no child running
+        report = run_experiment(bridge_config(argv=ECHO_ARGV,
+                                              snr_kind="bogus"))
+        assert [t.error for t in report.trials] == [
+            "unknown snr kind 'bogus'"] * 3
+        assert spawned == []
 
     def test_run_trial_leaves_a_built_prior_open(self):
         cfg = bridge_config()
@@ -961,6 +950,21 @@ class TestCli:
         profile = FadingProfile(num_taps=2, tap_powers=(0.5, 0.5),
                                 doppler_rate=0.01, num_symbols=8)
         assert stat == rayleigh_fit_statistic(profile, 2000, seed=1)[0]
+
+    @pytest.mark.parametrize("args,message", [
+        (["--dim", "0"], "dim must be >= 1"),
+        (["--dim", "0", "--set", "factor_method=fast"], "dim must be >= 1"),
+        (["--kind", "tdl-fading", "--dim", "16", "--samples", "0"],
+         "num_samples must be >= 1"),
+    ], ids=["haar-dim-0", "fast-dim-0", "fading-samples-0"])
+    def test_inspect_empty_input_exits_2_without_traceback(self, args,
+                                                          message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmoamp.cli", "inspect-channel"] + args,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -173,9 +173,9 @@ synthetic_piecewise_constant transmit write_matrix write_pgm
 def test_import_leaves_scipy_signal_and_stats_unloaded():
     # import rmoamp loads no submodule (each public name loads its own on
     # first access), so no scipy module either.  A fading channel brings in
-    # scipy.linalg and scipy.special on its first build, a haar channel
-    # scipy.linalg on its first apply, rayleigh_fit_statistic scipy.stats;
-    # ssim needs numpy alone
+    # scipy.linalg and scipy.special on its first build,
+    # rayleigh_fit_statistic scipy.stats; haar and fast channels and ssim
+    # need numpy alone
     assert modules_after("import rmoamp", "scipy") == "[]"
 
 
@@ -260,26 +260,28 @@ ch.gain(0.5, ch.apply(x))
     assert modules_after(code, "scipy") == "[]"
 
 
-@pytest.mark.parametrize("method", ["haar", "fast"])
-def test_only_a_haar_build_loads_scipy_linalg(method):
-    # import rmoamp loads no scipy; a haar channel brings in scipy.linalg
-    # for dgemqrt, and a receiver run that only meets fast channels loads
-    # none
+@pytest.mark.parametrize("spec", [
+    {"kind": "conditioned", "factor_method": "haar"},
+    {"kind": "conditioned", "factor_method": "fast"},
+    {"kind": "tdl-fading"}], ids=["haar", "fast", "tdl-fading"])
+def test_only_a_fading_channel_loads_scipy(spec):
+    # import rmoamp loads no scipy, and neither does a receiver run on a
+    # haar or fast channel; a tdl-fading channel brings in scipy.linalg for
+    # its band
     code = f"""
 import sys
 import rmoamp as rm
 assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']
 src = rm.synthetic_gauss_mixture(128, 5, (0.9, 0.1), (0.0, 0.0), (0.01, 1.0))
 op = rm.build_rm_operator(128, 64, seed=1)
-ch = rm.build_channel({{"kind": "conditioned", "factor_method": {method!r}}},
-                      64, 0.01, 2)
+ch = rm.build_channel({spec!r}, 64, 0.01, 2)
 y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=3)
 prior = rm.GaussianMixturePrior((0.9, 0.1), (0.0, 0.0), (1e-4, 1.0))
 rm.run_receiver(y, ch, op, prior, rm.ReceiverConfig(max_iters=3), truth=src)
 rm.lmmse_baseline(y, ch, op, truth=src)
 """
     loaded = modules_after(code, "scipy")
-    if method == "haar":
+    if spec["kind"] == "tdl-fading":
         assert "'scipy.linalg'" in loaded
     else:
         assert loaded == "[]"
