@@ -154,6 +154,11 @@ class WyFactor(_Factor):
         return y
 
 
+def _is_identity(factor):
+    # OrthoFactor(dim): its apply would only copy
+    return isinstance(factor, OrthoFactor) and factor.signs is None
+
+
 @dataclass(frozen=True)
 class ChannelInstance:
     """A channel ``y = A x + n`` stored via ``A = U diag(s) V^T`` or as a band.
@@ -186,14 +191,16 @@ class ChannelInstance:
         return (self.u if self.vt is None else self.vt).shape[1]
 
     def apply(self, x):
-        """A @ x through the singular factors or the band."""
+        """A @ x through the singular factors or the band.  An identity U
+        (``OrthoFactor(dim)``) is not applied."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise InvalidDimensionError(
                 f"expected length-{self.n_cols} input, got shape {x.shape}")
         if self.vt is None:
             return self.u @ x
-        return self.u @ (self.s * (self.vt @ x))
+        scaled = self.s * (self.vt @ x)
+        return scaled if _is_identity(self.u) else self.u @ scaled
 
     def gain(self, v, r):
         """``A^T (sigma2 I + v A A^T)^{-1} r``, the LMMSE step's lift of r.
@@ -201,15 +208,22 @@ class ChannelInstance:
         SVD channels divide elementwise in the singular basis, where modes
         with ``sigma2 + v s^2 = 0`` drop out; a band solves by banded
         Cholesky and raises :class:`SingularSystemError` when the system is
-        singular (``sigma2 = 0`` with a singular ``A``).
+        singular (``sigma2 = 0`` with a singular ``A``).  An identity U is
+        not applied.
         """
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (self.m_rows,):
+            raise InvalidDimensionError(
+                f"expected length-{self.m_rows} misfit, got shape {r.shape}")
         if self.vt is None:
             return self.u.gain(self.sigma2, v, r)
         s = self.s
         denom = self.sigma2 + v * s * s
         safe = np.where(denom > 0.0, denom, 1.0)
         gains = np.where(denom > 0.0, s / safe, 0.0)
-        return self.vt.T @ (gains * (self.u.T @ r))
+        if not _is_identity(self.u):
+            r = self.u.T @ r
+        return self.vt.T @ (gains * r)
 
     def dense(self):
         """The dense matrix, one apply per column (desk-scale dims only)."""

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import channel as channel_mod
 from .errors import RmOampError
-from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, run_experiment,
-                         sweep)
+from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, _noise_variance,
+                         run_experiment, sweep)
 from .fileio import csv_text
 
 __all__ = ["main", "parse_config_text", "config_from_dict"]
@@ -38,12 +38,21 @@ def _parse_scalar(text):
 
 
 def _set_dotted(data, item):
-    """Store ``key=value`` into nested dicts; dots in the key nest."""
+    """Store ``key=value`` into nested dicts; dots in the key nest.
+
+    A dotted key under a key that holds something other than an object
+    raises ValueError naming both.
+    """
     key, value = item.split("=", 1)
-    parts = key.strip().split(".")
+    key = key.strip()
+    parts = key.split(".")
     node = data
-    for part in parts[:-1]:
+    for depth, part in enumerate(parts[:-1], 1):
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(
+                f"cannot set {key!r}: {'.'.join(parts[:depth])!r} holds "
+                f"{node!r}, not an object")
     node[parts[-1]] = _parse_scalar(value.strip())
 
 
@@ -121,7 +130,8 @@ def _cmd_sweep(args):
 
 def _cmd_inspect_channel(args):
     spec = _apply_overrides({"kind": args.kind}, args.set)
-    ch = channel_mod.build_channel(spec, args.dim, args.sigma ** 2, args.seed)
+    ch = channel_mod.build_channel(spec, args.dim,
+                                   _noise_variance(args.sigma), args.seed)
     print(ch.descriptor_json())
     s = ch.s
     print(f"singular values: count={s.size} min={s.min():.6g} "

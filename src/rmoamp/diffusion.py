@@ -110,8 +110,10 @@ def fm_integrate(z0, predictor, t_start, t_end, num_steps):
     """Euler integration of dz/dt = predictor(z, t) from t_start to t_end.
 
     Uses a uniform grid with num_steps steps and evaluates the velocity at
-    the left endpoint of each interval.  Raises IntegrationError (carrying
-    the failing step index) if the state goes non-finite.
+    the left endpoint of each interval.  The state is a copy of z0 updated
+    in place, so a predictor must not keep the array it is handed.  Raises
+    IntegrationError (carrying the failing step index) if the state goes
+    non-finite or a velocity does not fit the state's shape or dtype.
     """
     if not 0.0 <= t_start < t_end <= 1.0:
         raise InvalidParameterError(
@@ -122,8 +124,14 @@ def fm_integrate(z0, predictor, t_start, t_end, num_steps):
     dt = (t_end - t_start) / num_steps
     for j in range(num_steps):
         t = t_start + j * dt
-        z = z + dt * np.asarray(predictor(z, t))
-        if not np.all(np.isfinite(z)):
+        step = dt * np.asarray(predictor(z, t))
+        try:
+            z += step
+        except (TypeError, ValueError) as exc:
+            raise IntegrationError(
+                f"velocity of shape {step.shape} and dtype {step.dtype} at "
+                f"step {j} does not fit the state", step=j) from exc
+        if not np.isfinite(z).all():
             raise IntegrationError(f"non-finite state at step {j}", step=j)
     return z
 
@@ -224,14 +232,18 @@ def gaussian_velocity_predictor(mean=0.0, var0=1.0):
     """Optimal flow-matching velocity for s0 ~ N(mean, var0) i.i.d.
 
     With z_t = (1 - t) eps + t s0 the posterior is Gaussian and
-    E[s0 - eps | z] is linear in z.
+    E[s0 - eps | z] is one affine map of z: the posterior means
+    ``mean + t var0 (z - t mean) / var_t`` of s0 and
+    ``(1 - t) (z - t mean) / var_t`` of eps, with
+    ``var_t = t^2 var0 + (1 - t)^2``, differ by
+    ``mean + (t var0 - (1 - t)) (z - t mean) / var_t``.
     """
 
     def predictor(z, t):
         var_t = t * t * var0 + (1.0 - t) ** 2
-        s0_hat = mean + t * var0 * (np.asarray(z) - t * mean) / var_t
-        eps_hat = (1.0 - t) * (np.asarray(z) - t * mean) / var_t
-        return s0_hat - eps_hat
+        slope = (t * var0 - (1.0 - t)) / var_t
+        # mean + slope (z - t mean), the constant folded into one scalar
+        return slope * np.asarray(z) + (1.0 - slope * t) * mean
 
     return predictor
 

@@ -34,7 +34,8 @@ class DegenerateNleError(NleError):
 
 
 class IntegrationError(NleError):
-    """A sampler's ODE integration hit a non-finite state."""
+    """A sampler's ODE integration hit a non-finite state, or a velocity
+    that does not fit the state."""
 
     def __init__(self, message, step=None):
         super().__init__(message)

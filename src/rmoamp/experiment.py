@@ -17,7 +17,9 @@ Wall-clock time is tracked in memory but never written to CSV, keeping the
 emitted bytes deterministic for fixed seeds.
 """
 
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -63,13 +65,29 @@ SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
                  "num_trials", "num_errors")
 
 
+# the largest sigma whose square is a finite float
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
+
+
+def _noise_variance(sigma):
+    """``sigma ** 2``; a sigma that is negative, NaN or above
+    ``_SIGMA_MAX`` (its square would overflow) raises
+    InvalidParameterError."""
+    if not 0 <= sigma <= _SIGMA_MAX:
+        raise InvalidParameterError(
+            f"sigma must be in [0, {_SIGMA_MAX!r}], where its square is "
+            f"finite, got {sigma}")
+    return sigma ** 2
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One grid point: source, compression, channel, prior, loop knobs, seeds.
 
     A number or count of the wrong type, a number that is not finite, a beta
-    outside (0, 1], a negative sigma or seed, a tolerance that is not > 0
-    and a count below 1 raise InvalidParameterError.
+    outside (0, 1], a negative sigma or seed, a sigma whose square overflows,
+    a tolerance that is not > 0 and a count below 1 raise
+    InvalidParameterError.
     """
 
     source: object
@@ -97,8 +115,7 @@ class ExperimentConfig:
             spec_integer(fields, key, 0, label="config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if self.sigma < 0:
-            raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
+        _noise_variance(self.sigma)
         if self.tolerance <= 0:
             raise InvalidParameterError(
                 f"tolerance must be > 0, got {self.tolerance}")

@@ -20,7 +20,13 @@ def psnr(truth, estimate):
     if truth.shape != estimate.shape:
         raise InvalidDimensionError(
             f"length mismatch: {truth.size} vs {estimate.size}")
-    mse = float(np.mean((truth - estimate) ** 2))
+    return _psnr_of_mse(float(np.mean((truth - estimate) ** 2)))
+
+
+def _psnr_of_mse(mse):
+    """``10 log10(1 / mse)`` in dB, capped at ``PSNR_CEILING`` (zero MSE
+    included): the one MSE-to-dB map of :func:`psnr` and the receiver's
+    trace."""
     if mse == 0.0:
         return PSNR_CEILING
     return float(min(10.0 * np.log10(1.0 / mse), PSNR_CEILING))

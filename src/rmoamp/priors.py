@@ -42,7 +42,7 @@ def denoise(prior, s_in, t_star, v):
     if out.shape != s_in.shape:
         raise NleError(f"denoiser returned shape {out.shape}, "
                        f"expected {s_in.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NleError("denoiser returned non-finite values")
     return out
 
@@ -104,13 +104,14 @@ class GaussianMixturePrior:
         with np.errstate(divide="ignore"):
             # a zero weight is -inf: that component is never responsible
             log_weights = np.log(self.weights)[:, np.newaxis]
+        offset = z - means
         log_resp = (log_weights - 0.5 * np.log(total_var)
-                    - 0.5 * (z - means) ** 2 / total_var)
+                    - 0.5 * offset ** 2 / total_var)
         # unnormalized responsibilities: one softmax down the components,
         # shifted so each column's largest is exp(0) = 1
         resp = np.exp(log_resp - log_resp.max(axis=0))
         gain = self.variances[:, np.newaxis] / total_var
-        comp_mean = means + gain * (z - means)
+        comp_mean = means + gain * offset
         return np.sum(resp * comp_mean, axis=0) / np.sum(resp, axis=0)
 
 

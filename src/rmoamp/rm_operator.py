@@ -15,7 +15,7 @@ Gaussian through it.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,9 +38,13 @@ class _Factor:
     takes one such vector (anything else raises InvalidDimensionError),
     ``.T`` flips ``transposed`` and ``np.asarray(factor)`` is the dense
     matrix, one apply per column.
+
+    ``.T`` is built on first use and kept by the factor.  The transpose
+    keeps no reference back (its own ``.T`` is a third object), so a
+    dropped factor is freed by reference counting, transpose included.
     """
 
-    @property
+    @cached_property
     def T(self):
         return replace(self, transposed=not self.transposed)
 

@@ -1,5 +1,6 @@
 """Channel generators: spectra, factors, fading statistics, round trips."""
 
+import gc
 import sys
 import threading
 import tracemalloc
@@ -428,6 +429,57 @@ class TestFactorProtocol:
                         np.ones(cols + 1), np.ones(cols - 1), np.float64(1)):
                 with pytest.raises(rm.InvalidDimensionError):
                     applied @ bad
+
+    @pytest.mark.parametrize("kind,dim", PROTOCOL_FACTORS)
+    def test_transpose_is_built_once(self, kind, dim):
+        factor = protocol_factor(kind, dim)
+        assert factor.T is factor.T
+        assert factor.T.T is factor.T.T
+        assert factor.T.transposed is not factor.transposed
+
+    def test_dropped_factor_dies_without_the_cycle_collector(self):
+        # a transpose that referred back to its factor would keep freed
+        # Haar panels alive until a full collection
+        gc.disable()
+        try:
+            factor = _haar_orthogonal(
+                130, np.random.Generator(np.random.Philox(3)))
+            x = np.ones(130)
+            assert np.allclose(factor.T @ (factor @ x), x)
+            assert np.allclose(factor.T.T @ x, factor @ x)
+            refs = [weakref.ref(f) for f in (factor, factor.T, factor.T.T)]
+            del factor
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("method", ["haar", "fast"])
+    def test_identity_u_is_not_applied(self, method, monkeypatch):
+        ch = rm.gen_conditioned_channel(16, 5.0, "geometric", 0.1, seed=3,
+                                        factor_method=method)
+        rng = np.random.Generator(np.random.Philox(4))
+        x, r = rng.standard_normal(16), rng.standard_normal(16)
+        # a hand-built dense U of the same matrix is applied as it stands
+        dense = replace(ch, u=np.eye(16))
+        want = dense.apply(x), dense.gain(0.5, r)
+        identity_applies = []
+        matmul = rm.OrthoFactor.__matmul__
+
+        def counting(self, v):
+            if self.signs is None:
+                identity_applies.append(self.transposed)
+            return matmul(self, v)
+
+        monkeypatch.setattr(rm.OrthoFactor, "__matmul__", counting)
+        assert np.array_equal(ch.apply(x), want[0])
+        assert np.array_equal(ch.gain(0.5, r), want[1])
+        assert identity_applies == []
+        # the lengths are still checked
+        for bad in (np.ones(15), np.ones((16, 1))):
+            with pytest.raises(rm.InvalidDimensionError):
+                ch.apply(bad)
+            with pytest.raises(rm.InvalidDimensionError):
+                ch.gain(0.5, bad)
 
     @pytest.mark.parametrize("build", [
         lambda: rm.gen_conditioned_channel(7, 5.0, "geometric", 0.1, seed=3),

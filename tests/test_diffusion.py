@@ -278,3 +278,47 @@ class TestAnalyticPredictors:
         eps_hat = (1 - t) * (0.9 - t * mean) / var_t
         pred = gaussian_velocity_predictor(mean=mean, var0=var0)
         assert pred(z, t)[0] == pytest.approx(s0_hat - eps_hat, abs=1e-14)
+
+    @pytest.mark.parametrize("var0", [0.0, 0.01, 1.0])
+    def test_gaussian_velocity_matches_the_two_posterior_means(self, var0):
+        # the one affine map against s0_hat - eps_hat, each its own map
+        mean = -0.7
+        z = np.random.Generator(np.random.Philox(10)).standard_normal(256)
+        pred = gaussian_velocity_predictor(mean=mean, var0=var0)
+        for t in np.linspace(0.0, 1.0, 41)[1:-1]:
+            var_t = t * t * var0 + (1.0 - t) ** 2
+            s0_hat = mean + t * var0 * (z - t * mean) / var_t
+            eps_hat = (1.0 - t) * (z - t * mean) / var_t
+            old = s0_hat - eps_hat
+            got = pred(z, t)
+            assert got.shape == z.shape
+            assert np.max(np.abs(got - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+class TestFlowMatchingState:
+    def test_input_is_not_written(self):
+        z0 = np.array([1.0, -2.0, 0.5])
+        kept = z0.copy()
+        out = fm_integrate(z0, lambda z, t: np.ones_like(z), 0.0, 0.5, 5)
+        assert np.array_equal(z0, kept)
+        assert np.allclose(out, kept + 0.5)
+
+    def test_step_matches_the_out_of_place_update(self):
+        pred = gaussian_velocity_predictor(mean=0.2, var0=0.5)
+        z0 = np.random.Generator(np.random.Philox(11)).standard_normal(32)
+        ref, dt = z0.copy(), (0.9 - 0.3) / 12
+        for j in range(12):
+            ref = ref + dt * pred(ref, 0.3 + j * dt)
+        assert np.array_equal(fm_integrate(z0, pred, 0.3, 0.9, 12), ref)
+
+    @pytest.mark.parametrize("velocity", [
+        lambda z, t: z[:, np.newaxis],
+        lambda z, t: np.ones(z.size + 1),
+        lambda z, t: z.astype(np.complex128)],
+        ids=["column", "too-long", "complex"])
+    def test_velocity_that_does_not_fit_is_an_integration_error(self,
+                                                                velocity):
+        # an NleError, so the receiver records a fault and goes on
+        with pytest.raises(IntegrationError) as info:
+            fm_integrate(np.ones(4), velocity, 0.2, 0.8, 3)
+        assert info.value.step == 0

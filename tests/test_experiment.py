@@ -37,7 +37,7 @@ from rmoamp import channel as channel_mod
 from rmoamp.cli import config_from_dict, main, parse_config_text
 from rmoamp.echo_bridge import serve
 from rmoamp.experiment import (OUTPUT_ROOT_ENV, SWEEP_COLUMNS, TRIAL_COLUMNS,
-                               run_trial)
+                               _SIGMA_MAX, run_trial)
 from rmoamp.receiver import TRACE_COLUMNS
 
 
@@ -106,6 +106,16 @@ class TestExperimentConfig:
         # a NaN tolerance never converges: the loop ran to max_iters
         with pytest.raises(InvalidParameterError, match=message):
             toy_config(tolerance=tolerance)
+
+    def test_sigma_whose_square_overflows_is_refused(self):
+        # sigma ** 2 raised OverflowError out of run_experiment, which
+        # aborted a whole sweep
+        with pytest.raises(InvalidParameterError, match="got 1e[+]200"):
+            toy_config(sigma=1e200)
+        edge = toy_config(sigma=_SIGMA_MAX)
+        assert np.isfinite(edge.sigma ** 2)
+        with pytest.raises(InvalidParameterError):
+            toy_config(sigma=float(np.nextafter(_SIGMA_MAX, np.inf)))
 
     def test_receiver_config_offsets_divergence_seed(self):
         cfg = toy_config(divergence_seed=4, max_iters=7, tolerance=1e-6)
@@ -965,6 +975,35 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("lines,overrides,message", [
+        ("prior=ddim\nprior.num_steps=5\n", [],
+         "cannot set 'prior.num_steps': 'prior' holds 'ddim', not an "
+         "object"),
+        ("", ["--set", "source.n.x=3"],
+         "cannot set 'source.n.x': 'source.n' holds 64, not an object"),
+    ], ids=["config-line", "set-override"])
+    def test_dotted_key_under_a_non_object_exits_2(self, lines, overrides,
+                                                   message, tmp_path,
+                                                   capsys):
+        path = tmp_path / "dotted.cfg"
+        path.write_text(lines + CONFIG_TEXT if lines else CONFIG_TEXT)
+        assert main(["run", str(path)] + overrides) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rmoamp: {message}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["run", None, "--set", "sigma=1e200"],
+        ["inspect-channel", "--dim", "8", "--sigma", "1e200"],
+    ], ids=["run", "inspect-channel"])
+    def test_sigma_whose_square_overflows_exits_2(self, args, tmp_path):
+        args = [self.write_config(tmp_path) if a is None else a for a in args]
+        proc = subprocess.run([sys.executable, "-m", "rmoamp.cli"] + args,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("rmoamp: sigma must be in [0, ")
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -152,8 +152,9 @@ def test_compressed_trial_traces_every_operator_apply():
         return sum(1 for s in tracer.spans if s.name == name and s.ok)
 
     assert count("rm_operator.build") == 1
-    # transmit, then s_in, x~ and the PSNR per iteration, then the estimate
-    assert count("rm_operator.apply") == 1 + 3 * iterations + 1
+    # transmit, the truth's forward for the trace PSNR, then s_in and x~
+    # per iteration, then the estimate
+    assert count("rm_operator.apply") == 1 + 1 + 2 * iterations + 1
     # the receiver's stages stay on the names the tracer wraps: one LMMSE
     # step, one probe and one correction per iteration, and two denoiser
     # calls (the output and the probe's)

@@ -25,6 +25,7 @@ from rmoamp import (
     orthogonalize,
     run_receiver,
 )
+from rmoamp import receiver as receiver_mod
 from rmoamp.receiver import TRACE_COLUMNS
 
 
@@ -574,6 +575,52 @@ class TestTraceCsvFault:
         row = trace.to_csv().splitlines()[1].split(",")
         assert len(row) == len(TRACE_COLUMNS)
         assert row[-1] == "bad; late reply"
+
+
+class TestTracePsnr:
+    """The trace PSNR, taken in the channel-input domain, equals the PSNR of
+    each iteration's back-transformed mean."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "identity"},
+        {"kind": "conditioned", "kappa": 10.0, "factor_method": "fast"},
+        {"kind": "conditioned", "kappa": 10.0, "factor_method": "haar"},
+        {"kind": "tdl-fading", "num_symbols": 4}],
+        ids=["identity", "fast", "haar", "tdl-fading"])
+    def test_equals_the_signal_domain_psnr(self, spec, beta, monkeypatch):
+        self.check(spec, beta, 0.01, monkeypatch)
+
+    def test_ceiling(self, monkeypatch):
+        psnrs = self.check({"kind": "identity"}, 1.0, 0.0, monkeypatch)
+        assert psnrs[0] == rm.PSNR_CEILING
+
+    @staticmethod
+    def check(spec, beta, sigma2, monkeypatch):
+        n = 80
+        src = rm.synthetic_gauss_mixture(n, 61, (0.9, 0.1), (0.0, 0.0),
+                                         (0.05, 1.0))
+        op = rm.build_rm_operator(n, int(round(beta * n)), seed=62)
+        ch = rm.build_channel(spec, op.shape[0], sigma2, seed=63)
+        y = rm.transmit(ch, rm.rm_forward(op, src.values), noise_seed=64)
+        means = []
+        residual_message = receiver_mod._residual_message
+
+        def kept(ch, mean, y):
+            means.append(mean)
+            return residual_message(ch, mean, y)
+
+        monkeypatch.setattr(receiver_mod, "_residual_message", kept)
+        gm = rm.GaussianMixturePrior((0.9, 0.1), (0.0, 0.0), (0.0025, 1.0))
+        _, trace = run_receiver(y, ch, op, gm,
+                                ReceiverConfig(max_iters=6, tolerance=1e-12),
+                                truth=src)
+        assert trace.error is None and len(trace) == len(means) >= 1
+        expected = [rm.psnr(src.values, rm.rm_inverse(op, mean))
+                    for mean in means]
+        got = trace.column("psnr")
+        assert np.max(np.abs(got - expected)) <= 1e-9
+        return got
 
 
 class TestLmmseBaseline:
