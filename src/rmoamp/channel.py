@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      SingularSystemError)
 from .rm_operator import OrthoFactor, _Factor, _draw_scramble
-from .sources import spec_integer, spec_numbers
+from .specs import CHANNEL_KEYS, read_spec
 
 __all__ = [
     "ChannelInstance",
@@ -513,17 +513,12 @@ def transmit(ch, x, noise_seed):
 
 
 def fading_profile(spec):
-    """FadingProfile from a spec dict; missing keys take the 3-tap defaults.
-
-    A count or number of the wrong type, or a number that is not finite,
-    raises InvalidParameterError naming the key.
-    """
-    label = "channel spec"
-    return FadingProfile(
-        num_taps=spec_integer(spec, "num_taps", 1, 3, label),
-        tap_powers=spec_numbers(spec, "tap_powers", 1, (0.6, 0.3, 0.1), label),
-        doppler_rate=spec_numbers(spec, "doppler_rate", 0, 0.01, label),
-        num_symbols=spec_integer(spec, "num_symbols", 1, 16, label))
+    """FadingProfile from a tdl-fading spec dict, whose ``kind`` may be left
+    out; missing keys take the 3-tap defaults of
+    :data:`rmoamp.specs.CHANNEL_KEYS`."""
+    fading = {"tdl-fading": CHANNEL_KEYS["tdl-fading"]}
+    return FadingProfile(**read_spec(spec, fading, "channel",
+                                     "tdl-fading")[1])
 
 
 # (key, channel) of the last build_channel miss, or None
@@ -559,12 +554,10 @@ def build_channel(spec, dim, sigma2, seed):
     noise levels builds each channel once.  The factor arrays are therefore
     shared and read-only.  The last channel built stays referenced until a
     call with a different key; a miss drops it before building the next.
-    A spec that is not a dict raises InvalidParameterError.
+    :data:`rmoamp.specs.CHANNEL_KEYS` lists each kind's keys; a spec that
+    :func:`rmoamp.specs.read_spec` refuses raises InvalidParameterError.
     """
     global _last_built
-    if not isinstance(spec, dict):
-        raise InvalidParameterError(
-            f"channel must be a spec dict, got {spec!r}")
     key = (spec_key(spec), dim, seed)
     last = _last_built
     if last is not None and last[0] == key:
@@ -578,24 +571,21 @@ def build_channel(spec, dim, sigma2, seed):
 
 
 def _generate(spec, dim, sigma2, seed):
-    kind = spec.get("kind", "identity")
+    kind, values = read_spec(spec, CHANNEL_KEYS, "channel", "identity")
     if kind == "identity":
         return gen_identity_channel(dim, sigma2=sigma2)
     if kind == "conditioned":
-        return gen_conditioned_channel(
-            dim, kappa=spec.get("kappa", 10.0),
-            spectrum_shape=spec.get("spectrum_shape", "geometric"),
-            sigma2=sigma2, seed=seed,
-            factor_method=spec.get("factor_method", "haar"))
-    if kind == "tdl-fading":
-        return gen_tdl_fading_channel(dim, fading_profile(spec),
-                                      sigma2=sigma2, seed=seed)
-    raise InvalidParameterError(f"unknown channel kind {kind!r}")
+        return gen_conditioned_channel(dim, sigma2=sigma2, seed=seed,
+                                       **values)
+    return gen_tdl_fading_channel(dim, FadingProfile(**values),
+                                  sigma2=sigma2, seed=seed)
 
 
 def channel_from_descriptor(desc):
     """Rebuild a channel from the record emitted by ``descriptor()``."""
     if isinstance(desc, str):
         desc = json.loads(desc)
-    return build_channel(dict(desc, kind=desc["type"]), desc.get("dim"),
+    spec = {key: value for key, value in desc.items()
+            if key not in ("type", "dim", "sigma2", "seed")}
+    return build_channel(dict(spec, kind=desc["type"]), desc.get("dim"),
                          desc.get("sigma2"), desc.get("seed"))

@@ -38,7 +38,9 @@ from .priors import (AnalyticGaussianPrior, DctSoftThresholdPrior,
                      GaussianMixturePrior)
 from .receiver import ReceiverConfig, lmmse_baseline, run_receiver
 from .rm_operator import build_rm_operator, rm_forward
-from .sources import load_source, spec_integer, spec_numbers
+from .sources import load_source
+from .specs import (PREDICTOR_KEYS, PRIOR_KEYS, read_spec, spec_integer,
+                    spec_numbers)
 
 __all__ = [
     "ExperimentConfig",
@@ -54,9 +56,6 @@ __all__ = [
 ]
 
 OUTPUT_ROOT_ENV = "RMOAMP_OUTPUT_ROOT"
-
-# how errors name a prior spec
-_PRIOR = "prior spec"
 
 TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "faults",
                  "error")
@@ -107,12 +106,12 @@ class ExperimentConfig:
     def __post_init__(self):
         fields = vars(self)
         for key in ("beta", "sigma", "tolerance"):
-            spec_numbers(fields, key, 0, label="config")
+            spec_numbers(fields[key], key, 0, "config")
         for key in ("max_iters", "num_trials"):
-            spec_integer(fields, key, 1, label="config")
+            spec_integer(fields[key], key, 1, "config")
         for key in ("operator_seed", "channel_seed", "noise_seed",
                     "divergence_seed"):
-            spec_integer(fields, key, 0, label="config")
+            spec_integer(fields[key], key, 0, "config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
         _noise_variance(self.sigma)
@@ -205,106 +204,61 @@ def _kind(spec):
 
 
 def build_prior(spec):
-    """Instantiate a denoiser prior from a flat spec dict.
+    """Instantiate a denoiser prior from a spec dict, whose keys
+    :data:`rmoamp.specs.PRIOR_KEYS` lists.
 
-    Kinds: analytic-gaussian, analytic-gauss-mixture, dct-soft-threshold,
-    ddim, flow-matching, external-bridge.  Sampler kinds take a nested
-    ``predictor`` spec (kind "gaussian" with mean/var0) standing in for a
-    trained network; external-bridge takes ``argv`` (spawn) or
-    ``host``/``port`` (connect) plus optional ``timeout`` and ``snr_kind``.
-
-    A spec or ``predictor`` spec that is not a dict, a spec without one of
-    its kind's keys, a number, count or list of numbers of the wrong type, a
-    number that is not finite, a negative predictor ``var0``, a bridge ``argv``
-    that is not a non-empty list of strings, a ``host`` that is not a string
-    or an unknown ``snr_kind`` (each found before a bridge is started), and a
-    bridge that cannot be started or reached raise InvalidParameterError
-    naming the key or the cause.
+    A spec or ``predictor`` spec :func:`rmoamp.specs.read_spec` refuses, a
+    bridge spec with neither ``argv`` nor ``host`` and ``port``, a negative
+    predictor ``var0``, an unknown ``snr_kind`` (each found before a bridge
+    is started), and a bridge that cannot be started or reached raise
+    InvalidParameterError naming the key or the cause.
     """
-    if not isinstance(spec, dict):
-        raise InvalidParameterError(f"prior must be a spec dict, got {spec!r}")
-    try:
-        return _prior_from_spec(spec)
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"prior spec has no {exc.args[0]!r} key") from None
-
-
-def _prior_from_spec(spec):
-    kind = spec.get("kind", "analytic-gaussian")
+    kind, values = read_spec(spec, PRIOR_KEYS, "prior", "analytic-gaussian")
     if kind == "analytic-gaussian":
-        return AnalyticGaussianPrior(
-            mean=spec_numbers(spec, "mean", 0, 0.0, _PRIOR),
-            var0=spec_numbers(spec, "var0", 0, 1.0, _PRIOR))
+        return AnalyticGaussianPrior(**values)
     if kind == "analytic-gauss-mixture":
         # the prior checks the shapes
-        return GaussianMixturePrior(
-            weights=spec_numbers(spec, "weights", None, label=_PRIOR),
-            means=spec_numbers(spec, "means", None, label=_PRIOR),
-            variances=spec_numbers(spec, "variances", None, label=_PRIOR))
+        return GaussianMixturePrior(**values)
     if kind == "dct-soft-threshold":
         return DctSoftThresholdPrior()
     if kind == "ddim":
-        predictor = _build_predictor(spec.get("predictor", {}), "ddim")
-        if "alpha_bar" in spec:
-            schedule = DdimSchedule(np.asarray(
-                spec_numbers(spec, "alpha_bar", 1, label=_PRIOR)))
+        predictor = _build_predictor(values["predictor"], kind)
+        if "alpha_bar" in values:
+            schedule = DdimSchedule(np.asarray(values["alpha_bar"]))
         else:
             schedule = default_ddim_schedule(
-                num_steps=spec_integer(spec, "num_steps", 2, 50, _PRIOR),
-                alpha_start=spec_numbers(spec, "alpha_start", 0, 0.999,
-                                         _PRIOR),
-                alpha_end=spec_numbers(spec, "alpha_end", 0, 0.005, _PRIOR))
-        return DdimPrior(predictor, schedule=schedule,
-                         mode=spec.get("mode", "trajectory"))
+                values["num_steps"], values["alpha_start"], values["alpha_end"])
+        return DdimPrior(predictor, schedule=schedule, mode=values["mode"])
     if kind == "flow-matching":
-        predictor = _build_predictor(spec.get("predictor", {}), "flow-matching")
-        return FlowMatchingPrior(predictor, num_steps=spec_integer(
-            spec, "num_steps", 1, 20, _PRIOR))
-    if kind == "external-bridge":
-        timeout = spec_numbers(spec, "timeout", 0, 5.0, _PRIOR)
-        if "argv" in spec:
-            argv = spec["argv"]
-            if not (isinstance(argv, list) and argv
-                    and all(isinstance(arg, str) for arg in argv)):
-                raise InvalidParameterError(
-                    f"{_PRIOR} 'argv' must be a non-empty list of strings, "
-                    f"got {argv!r}")
-        elif not isinstance(spec["host"], str):
-            raise InvalidParameterError(
-                f"{_PRIOR} 'host' must be a string, got {spec['host']!r}")
-        # before a child or connection exists that the error would leave open
-        snr_kind = spec.get("snr_kind", "flow-matching")
-        BridgePrior.check_snr_kind(snr_kind)
-        try:
-            if "argv" in spec:
-                client = BridgeClient.spawn(argv, timeout=timeout)
-            else:
-                client = BridgeClient.connect(
-                    spec["host"], spec_integer(spec, "port", 0, label=_PRIOR),
-                    timeout=timeout)
-        except OSError as exc:
-            raise InvalidParameterError(
-                f"cannot start the prior's bridge: {exc}") from None
-        return BridgePrior(client, snr_kind=snr_kind)
-    raise InvalidParameterError(f"unknown prior kind {kind!r}")
+        return FlowMatchingPrior(_build_predictor(values["predictor"], kind),
+                                 num_steps=values["num_steps"])
+    # external-bridge; before a child or connection exists that an error
+    # would leave open
+    BridgePrior.check_snr_kind(values["snr_kind"])
+    try:
+        if "argv" in values:
+            client = BridgeClient.spawn(values["argv"],
+                                        timeout=values["timeout"])
+        else:
+            client = BridgeClient.connect(values["host"], values["port"],
+                                          timeout=values["timeout"])
+    except KeyError as exc:  # connect mode without a host or port
+        raise InvalidParameterError(
+            f"prior spec has no {exc.args[0]!r} key") from None
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot start the prior's bridge: {exc}") from None
+    return BridgePrior(client, snr_kind=values["snr_kind"])
 
 
 def _build_predictor(spec, sampler_kind):
-    if not isinstance(spec, dict):
+    _, values = read_spec(spec, PREDICTOR_KEYS, "predictor", "gaussian")
+    if values["var0"] < 0:
         raise InvalidParameterError(
-            f"predictor must be a spec dict, got {spec!r}")
-    kind = spec.get("kind", "gaussian")
-    if kind != "gaussian":
-        raise InvalidParameterError(f"unknown predictor kind {kind!r}")
-    mean = spec_numbers(spec, "mean", 0, 0.0, "predictor spec")
-    var0 = spec_numbers(spec, "var0", 0, 1.0, "predictor spec")
-    if var0 < 0:
-        raise InvalidParameterError(
-            f"predictor spec 'var0' must be >= 0, got {var0!r}")
+            f"predictor spec 'var0' must be >= 0, got {values['var0']!r}")
     if sampler_kind == "ddim":
-        return gaussian_eps_predictor(mean=mean, var0=var0)
-    return gaussian_velocity_predictor(mean=mean, var0=var0)
+        return gaussian_eps_predictor(**values)
+    return gaussian_velocity_predictor(**values)
 
 
 def _resolve_output_dir(path):

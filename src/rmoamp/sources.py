@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fileio import read_matrix, read_pgm, write_pgm
+from .specs import SOURCE_KEYS, read_spec
 
 __all__ = [
     "SourceSignal",
@@ -88,24 +89,20 @@ def synthetic_piecewise_constant(n, seed, num_pieces):
     return SourceSignal(values)
 
 
+_GENERATORS = {"gaussian": synthetic_gaussian,
+               "gauss-mixture": synthetic_gauss_mixture,
+               "piecewise-constant": synthetic_piecewise_constant}
+
+
 def load_source(spec):
     """Build a SourceSignal from a path or a spec dict.
 
-    A plain string is treated as a file path; ``.pgm`` files load as 8-bit
-    grayscale mapped to [0,1], anything else is read as an OAMPMAT1 tensor.
-    A dict selects a synthetic generator by ``kind``:
-
-        {"kind": "gaussian", "n": ..., "seed": ..., "mean": ..., "std": ...}
-        {"kind": "gauss-mixture", "n", "seed", "weights", "means", "stds"}
-        {"kind": "piecewise-constant", "n", "seed", "num_pieces"}
-        {"kind": "pgm" | "matrix", "path": ...}
-
-    A spec without one of its kind's keys, a file that cannot be opened, a
-    count or seed that is not a nonnegative integer (``n`` and
-    ``num_pieces`` at least 1), a ``mean`` or ``std`` that is not a finite
-    number, ``weights``, ``means`` and ``stds`` that are not lists of finite
-    numbers of one length, negative ``weights``, and a source that is neither
-    a string nor a dict raise InvalidParameterError naming the key or path.
+    A plain string is a file path: ``.pgm`` files load as 8-bit grayscale
+    mapped to [0,1], anything else as an OAMPMAT1 tensor.  A dict takes the
+    keys :data:`rmoamp.specs.SOURCE_KEYS` lists for its ``kind``.  A spec
+    :func:`rmoamp.specs.read_spec` refuses, a file that cannot be opened,
+    mixture lists of unequal length or negative ``weights``, and a source
+    that is neither a string nor a dict raise InvalidParameterError.
     """
     if isinstance(spec, str):
         spec = {"kind": "pgm" if spec.endswith(".pgm") else "matrix",
@@ -113,74 +110,20 @@ def load_source(spec):
     if not isinstance(spec, dict):
         raise InvalidParameterError(
             f"source must be a path or a spec dict, got {spec!r}")
+    kind, values = read_spec(spec, SOURCE_KEYS, "source")
+    if kind in _GENERATORS:
+        return _GENERATORS[kind](**values)
     try:
-        return _from_spec(spec)
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"source spec has no {exc.args[0]!r} key") from None
+        if kind == "pgm":
+            img, maxval = read_pgm(values["path"])
+            return SourceSignal(img.astype(np.float64).ravel() / maxval,
+                                shape=img.shape)
+        mat = read_matrix(values["path"])
     except OSError as exc:
         raise InvalidParameterError(
-            f"cannot read source {spec['path']!r}: {exc.strerror or exc}"
+            f"cannot read source {values['path']!r}: {exc.strerror or exc}"
         ) from None
-
-
-def spec_integer(spec, key, low, default=None, label="source spec"):
-    """``spec[key]``, or ``default`` when given and the key is absent, when
-    it is an integer >= ``low``; ``label`` names the spec in the error."""
-    value = spec[key] if default is None else spec.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise InvalidParameterError(
-            f"{label} {key!r} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def spec_numbers(spec, key, ndim, default=None, label="source spec"):
-    """``spec[key]``, or ``default`` when given and the key is absent, when
-    it is a finite number (``ndim`` 0), a flat list of finite numbers
-    (``ndim`` 1) or finite numbers of any shape (``ndim`` None); ``label``
-    names the spec in the error."""
-    value = spec[key] if default is None else spec.get(key, default)
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged list
-        array = None
-    if (array is None or array.dtype.kind not in "iuf"
-            or ndim not in (None, array.ndim)):
-        what = {0: "a number", 1: "a list of numbers", None: "numbers"}[ndim]
-        raise InvalidParameterError(
-            f"{label} {key!r} must be {what}, got {value!r}")
-    if not np.all(np.isfinite(array)):
-        raise InvalidParameterError(
-            f"{label} {key!r} must be finite, got {value!r}")
-    return value
-
-
-def _from_spec(spec):
-    kind = spec["kind"]
-    if kind == "pgm":
-        img, maxval = read_pgm(spec["path"])
-        return SourceSignal(img.astype(np.float64).ravel() / maxval,
-                            shape=img.shape)
-    if kind == "matrix":
-        mat = read_matrix(spec["path"])
-        return SourceSignal(mat.ravel(), shape=mat.shape)
-    if kind == "gaussian":
-        return synthetic_gaussian(spec_integer(spec, "n", 1),
-                                  spec_integer(spec, "seed", 0),
-                                  mean=spec_numbers(spec, "mean", 0, 0.0),
-                                  std=spec_numbers(spec, "std", 0, 1.0))
-    if kind == "gauss-mixture":
-        return synthetic_gauss_mixture(spec_integer(spec, "n", 1),
-                                       spec_integer(spec, "seed", 0),
-                                       spec_numbers(spec, "weights", 1),
-                                       spec_numbers(spec, "means", 1),
-                                       spec_numbers(spec, "stds", 1))
-    if kind == "piecewise-constant":
-        return synthetic_piecewise_constant(
-            spec_integer(spec, "n", 1), spec_integer(spec, "seed", 0),
-            spec_integer(spec, "num_pieces", 1))
-    raise InvalidParameterError(f"unknown source kind {kind!r}")
+    return SourceSignal(mat.ravel(), shape=mat.shape)
 
 
 def save_source_pgm(source, path):

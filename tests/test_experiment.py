@@ -32,8 +32,11 @@ from rmoamp import (
     run_experiment,
     save_source_pgm,
     sweep,
+    write_matrix,
+    write_pgm,
 )
 from rmoamp import channel as channel_mod
+from rmoamp import specs
 from rmoamp.cli import config_from_dict, main, parse_config_text
 from rmoamp.echo_bridge import serve
 from rmoamp.experiment import (OUTPUT_ROOT_ENV, SWEEP_COLUMNS, TRIAL_COLUMNS,
@@ -328,6 +331,14 @@ BAD_SOURCES = {
                          "weights": [1.5, -0.5], "means": [0.0, 0.0],
                          "stds": [0.1, 1.0]},
                         "mixture weights must be >= 0 and sum to 1"),
+    # an int path would name one of the process's own file descriptors
+    "int-path": ({"kind": "matrix", "path": 2},
+                 "source spec 'path' must be a string, got 2"),
+    "list-path": ({"kind": "matrix", "path": ["a"]},
+                  "source spec 'path' must be a string, got ['a']"),
+    "misspelt-std": ({"kind": "gaussian", "n": 64, "seed": 9, "stdd": 5},
+                     "source spec has unknown key 'stdd'; kind 'gaussian' "
+                     "takes 'n', 'seed', 'mean', 'std'"),
 }
 
 
@@ -408,6 +419,20 @@ BAD_PRIORS = {
                                  "predictor": {"var0": -1.0}},
                                 "predictor spec 'var0' must be >= 0, "
                                 "got -1.0"),
+    "bridge-no-port": ({"kind": "external-bridge", "host": "localhost"},
+                       "prior spec has no 'port' key"),
+    "misspelt-num-steps": ({"kind": "ddim", "num_step": 5},
+                           "prior spec has unknown key 'num_step'"),
+    "alpha-bar-with-num-steps": ({"kind": "ddim", "alpha_bar": [0.9, 0.1],
+                                  "num_steps": 5},
+                                 "prior spec gives both 'alpha_bar' and "
+                                 "'num_steps'"),
+    "argv-with-host": ({"kind": "external-bridge", "argv": ECHO_ARGV,
+                        "host": "localhost"},
+                       "prior spec gives both 'argv' and 'host'"),
+    "misspelt-predictor-var0": ({"kind": "flow-matching",
+                                 "predictor": {"var": 2.0}},
+                                "predictor spec has unknown key 'var'"),
 }
 
 
@@ -462,6 +487,11 @@ BAD_CHANNELS = {
     "inf-doppler-rate": (fading(doppler_rate=float("inf")),
                          "channel spec 'doppler_rate' must be finite, "
                          "got inf"),
+    "misspelt-kappa": ({"kind": "conditioned", "kapa": 3.0},
+                       "channel spec has unknown key 'kapa'"),
+    "identity-kappa": ({"kind": "identity", "kappa": 3.0},
+                       "channel spec has unknown key 'kappa'; kind "
+                       "'identity' takes no keys"),
 }
 
 
@@ -566,6 +596,107 @@ class TestNonFiniteNumbers:
             **SPEC_NUMBER_KEYS[name](value)))
         assert [t.trial for t in report.trials] == [0, 1]
         assert report.num_errors == report.config.num_trials
+
+
+@pytest.mark.parametrize("source", [{"kind": "matrix", "path": 2},
+                                    {"kind": "pgm", "path": 0}],
+                         ids=["stderr", "stdin"])
+def test_int_source_path_leaves_the_process_fds_open(source, tmp_path):
+    # an int path names a descriptor of the process itself: reading it as
+    # the source would also close it
+    config = tmp_path / "int-path.json"
+    config.write_text(json.dumps({"source": source, "num_trials": 2,
+                                  "max_iters": 2}))
+    script = ("import os, sys\n"
+              "from rmoamp.cli import main\n"
+              "code = main(['run', sys.argv[1]])\n"
+              "os.fstat(0)\n"
+              "os.fstat(2)\n"
+              "print('exit', code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(config)],
+                          input="P5\n1 1\n255\n\x00", capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, aggregate, last = proc.stdout.splitlines()
+    assert (aggregate.split(",")[-1], last) == ("2", "exit 1")  # num_errors
+
+
+# the smallest spec of each kind in rmoamp.specs: its required keys only.
+# An external-bridge spec requires no key alone, but needs argv (or host
+# and port); a file source's path is made by the test.
+REQUIRED_ONLY = {
+    ("source", "gaussian"): {"n": 64, "seed": 9},
+    ("source", "gauss-mixture"): {"n": 64, "seed": 9, "weights": [0.5, 0.5],
+                                  "means": [0.0, 1.0], "stds": [1.0, 0.5]},
+    ("source", "piecewise-constant"): {"n": 64, "seed": 9, "num_pieces": 4},
+    ("source", "pgm"): {"path": None},
+    ("source", "matrix"): {"path": None},
+    ("channel", "identity"): {},
+    ("channel", "conditioned"): {},
+    ("channel", "tdl-fading"): {},
+    ("prior", "analytic-gaussian"): {},
+    ("prior", "analytic-gauss-mixture"): {"weights": [0.5, 0.5],
+                                          "means": [0.0, 1.0],
+                                          "variances": [1.0, 0.25]},
+    ("prior", "dct-soft-threshold"): {},
+    ("prior", "ddim"): {},
+    ("prior", "flow-matching"): {},
+    ("prior", "external-bridge"): {"argv": ECHO_ARGV},
+    ("predictor", "gaussian"): {},
+}
+SPEC_TABLES = {"source": specs.SOURCE_KEYS, "channel": specs.CHANNEL_KEYS,
+               "prior": specs.PRIOR_KEYS, "predictor": specs.PREDICTOR_KEYS}
+SPEC_KINDS = [(name, kind) for name, table in SPEC_TABLES.items()
+              for kind in table]
+WORD_KEYS = [(name, kind, key) for name, kind in SPEC_KINDS
+             for key, rule in SPEC_TABLES[name][kind].items()
+             if rule.check in (specs.spec_integer, specs.spec_numbers)]
+
+
+def spec_fields(name, kind, keys, tmp_path):
+    """Config fields that put a ``kind`` spec with ``keys`` in place."""
+    spec = dict(keys, kind=kind)
+    if spec.get("path", "") is None:
+        spec["path"] = str(tmp_path / f"source.{kind}")
+        if kind == "pgm":
+            write_pgm(spec["path"], np.linspace(0.0, 1.0, 64).reshape(8, 8))
+        else:
+            write_matrix(spec["path"], np.linspace(0.0, 1.0, 64)[None, :])
+    if name == "predictor":
+        return {"prior": {"kind": "flow-matching", "num_steps": 2,
+                          "predictor": spec}}
+    return {name: spec}
+
+
+class TestSpecTables:
+    """Every kind and key in rmoamp.specs, run through run_experiment."""
+
+    @pytest.mark.parametrize("name, kind", SPEC_KINDS)
+    def test_kind_builds_from_its_required_keys(self, name, kind, tmp_path):
+        keys = REQUIRED_ONLY[name, kind]
+        required = {key for key, rule in SPEC_TABLES[name][kind].items()
+                    if rule.default is specs.REQUIRED}
+        assert set(keys) == required or kind == "external-bridge"
+        report = run_experiment(toy_config(
+            beta=0.5, sigma=0.1, max_iters=2, num_trials=2,
+            **spec_fields(name, kind, keys, tmp_path)))
+        assert report.num_errors == 0, report.trials[0].error
+
+    @pytest.mark.parametrize("name, kind, key", WORD_KEYS)
+    def test_word_value_gives_one_error_row_per_trial(self, name, kind, key,
+                                                      tmp_path):
+        rules = SPEC_TABLES[name][kind]
+        # drop a required-only key the word's key may not be given with
+        keys = {other: value for other, value in
+                REQUIRED_ONLY[name, kind].items()
+                if key not in rules[other].excludes}
+        keys[key] = "x"
+        report = run_experiment(toy_config(
+            num_trials=2, **spec_fields(name, kind, keys, tmp_path)))
+        assert [t.trial for t in report.trials] == [0, 1]
+        assert report.num_errors == 2
+        assert all(f"{name} spec {key!r} must be" in t.error
+                   for t in report.trials)
 
 
 def test_every_csv_line_has_a_cell_per_column(tmp_path, capsys):
@@ -914,6 +1045,15 @@ class TestCli:
         csv_lines = out_csv.read_text().splitlines()
         assert csv_lines[0] == "index,singular_value"
         assert len(csv_lines) == 33
+
+    def test_inspect_misspelt_key_exits_2(self, capsys):
+        # not a channel with the default kappa of 10
+        assert main(["inspect-channel", "--kind", "conditioned", "--dim",
+                     "16", "--set", "kapa=3.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rmoamp: channel spec has unknown key 'kapa'")
 
     @pytest.mark.parametrize("kind, extra", [
         ("identity", []),
