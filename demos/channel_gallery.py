@@ -3,9 +3,9 @@
 
 Builds an identity channel, a conditioned channel with a prescribed
 singular spectrum, and a time-selective Rayleigh-fading channel, then
-prints the descriptor and spectrum summary for each.  For the fading
-channel it also runs the amplitude-distribution fit that the
-``inspect-channel`` subcommand exposes.
+prints the spectrum summary for each.  For the fading channel it also
+runs the amplitude-distribution fit that the ``inspect-channel``
+subcommand exposes.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ dim = 64
 def summarize(ch, label):
     s = ch.s
     print(f"{label}:")
-    print(f"  descriptor     {ch.descriptor()}")
     print(f"  spectrum       min {s.min():.4f}  max {s.max():.4f}  "
           f"mean power {np.mean(s * s):.4f}")
     print(f"  condition      {ch.condition_number():.2f}")

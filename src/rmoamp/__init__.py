@@ -28,10 +28,9 @@ _SUBMODULE_EXPORTS = {
     "rm_operator": ("OrthoFactor", "build_rm_operator", "dct_transform",
                     "rm_forward", "rm_inverse"),
     "channel": ("BandFactor", "ChannelInstance", "FadingProfile", "WyFactor",
-                "build_channel", "channel_from_descriptor", "fading_profile",
-                "gen_conditioned_channel", "gen_identity_channel",
-                "gen_tdl_fading_channel", "rayleigh_fit_statistic",
-                "sample_fading_taps", "transmit"),
+                "build_channel", "fading_profile", "gen_conditioned_channel",
+                "gen_identity_channel", "gen_tdl_fading_channel",
+                "rayleigh_fit_statistic", "sample_fading_taps", "transmit"),
     "sources": ("SourceSignal", "load_source", "save_source_pgm",
                 "synthetic_gauss_mixture", "synthetic_gaussian",
                 "synthetic_piecewise_constant"),

@@ -79,12 +79,13 @@ class BridgeClient:
 
     Build with :meth:`spawn` (child process on a socket pair) or
     :meth:`connect` (TCP); either way the client holds one connected socket.
-    ``timeout`` bounds each full round trip.
+    ``timeout``, a finite number > 0, bounds each full round trip.
     """
 
     def __init__(self, timeout=5.0):
-        if timeout <= 0:
-            raise InvalidParameterError("timeout must be > 0")
+        if not 0 < timeout < np.inf:  # NaN too
+            raise InvalidParameterError(
+                f"timeout must be a finite number > 0, got {timeout!r}")
         self.timeout = float(timeout)
         self._proc = None
         self._sock = None

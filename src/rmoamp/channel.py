@@ -28,7 +28,7 @@ generators are provided:
 """
 
 import json
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "rayleigh_fit_statistic",
     "fading_profile",
     "build_channel",
-    "channel_from_descriptor",
 ]
 
 
@@ -92,26 +91,32 @@ class BandFactor(_Factor):
 
         A singular value near zero carries an absolute error of up to about
         ``sqrt(eps) * s_max``; an SVD of ``H`` would give ``eps * s_max``.
+        The band is built from finite taps, so LAPACK skips its scan.
         """
         from scipy.linalg import eigvals_banded
 
-        eig = eigvals_banded(self.gram, lower=True)
+        eig = eigvals_banded(self.gram, lower=True, check_finite=False)
         return np.repeat(np.sqrt(np.clip(eig[::-1], 0.0, None)), 2)
 
     def gain(self, sigma2, v, r):
         """``H^H (sigma2 I + v H H^H)^{-1} r``, realified, by banded
-        Cholesky."""
+        Cholesky.  LAPACK skips its finiteness scan: ``GaussMessage``
+        checks ``v``, ``ChannelInstance`` ``sigma2``, and ``r`` is a misfit
+        of checked arrays.
+        """
         from scipy.linalg import cho_solve_banded, cholesky_banded
 
         system = v * self.gram
         system[0] += sigma2
         try:
-            factor = cholesky_banded(system, overwrite_ab=True, lower=True)
+            factor = cholesky_banded(system, overwrite_ab=True, lower=True,
+                                     check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"sigma^2 I + v H H^H is singular: {exc}") from exc
         rc = np.ascontiguousarray(r, dtype=np.float64).view(np.complex128)
-        return self.T @ cho_solve_banded((factor, True), rc).view(np.float64)
+        return self.T @ cho_solve_banded((factor, True), rc,
+                                         check_finite=False).view(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +177,7 @@ class ChannelInstance:
     itself, ``vt`` is None and ``s`` is still its singular spectrum.
     Instances are immutable, factor arrays included (:func:`build_channel`
     shares them between instances and makes them read-only), and safe for
-    concurrent use.
+    concurrent use.  ``sigma2`` must be a finite number >= 0.
     """
 
     u: np.ndarray
@@ -180,7 +185,11 @@ class ChannelInstance:
     vt: np.ndarray
     sigma2: float
     seed: int
-    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0 <= self.sigma2 < np.inf:  # NaN too
+            raise InvalidParameterError(
+                f"sigma2 must be a finite number >= 0, got {self.sigma2!r}")
 
     @property
     def m_rows(self):
@@ -233,13 +242,6 @@ class ChannelInstance:
         smin = self.s[-1]
         return np.inf if smin == 0 else self.s[0] / smin
 
-    def descriptor(self):
-        """JSON-serializable record sufficient to regenerate the channel."""
-        return dict(self.meta, sigma2=self.sigma2, seed=self.seed)
-
-    def descriptor_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class FadingProfile:
@@ -277,8 +279,7 @@ def gen_identity_channel(dim, sigma2):
         raise InvalidParameterError("dim must be >= 1")
     return ChannelInstance(u=OrthoFactor(dim), s=np.ones(dim),
                            vt=OrthoFactor(dim),
-                           sigma2=float(sigma2), seed=0,
-                           meta={"type": "identity", "dim": int(dim)})
+                           sigma2=float(sigma2), seed=0)
 
 
 # reflectors per WyFactor panel, a power of two (T merges groups pairwise)
@@ -406,11 +407,7 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
     return ChannelInstance(u=OrthoFactor(dim),
                            s=_spectrum(dim, kappa, spectrum_shape),
                            vt=make(dim, rng).T, sigma2=float(sigma2),
-                           seed=int(seed),
-                           meta={"type": "conditioned", "dim": int(dim),
-                                 "kappa": float(kappa),
-                                 "spectrum_shape": spectrum_shape,
-                                 "factor_method": factor_method})
+                           seed=int(seed))
 
 
 def sample_fading_taps(profile, seed, num_symbols=None):
@@ -495,12 +492,7 @@ def gen_tdl_fading_channel(dim, profile, sigma2, seed):
                                    axis=0)
     band = BandFactor(ab=ab, gram=gram)
     return ChannelInstance(u=band, s=band.spectrum(), vt=None,
-                           sigma2=float(sigma2), seed=int(seed),
-                           meta={"type": "tdl-fading", "dim": int(dim),
-                                 "num_taps": int(profile.num_taps),
-                                 "tap_powers": profile.tap_powers.tolist(),
-                                 "doppler_rate": float(profile.doppler_rate),
-                                 "num_symbols": int(profile.num_symbols)})
+                           sigma2=float(sigma2), seed=int(seed))
 
 
 def transmit(ch, x, noise_seed):
@@ -537,7 +529,9 @@ def _freeze(ch):
 
 
 def spec_key(spec):
-    """Exact text of a channel spec: equal specs give equal keys.
+    """Exact text of a channel spec: equal specs give equal keys, and the
+    JSON text reads back as the same spec (``rmoamp inspect-channel``
+    prints it).
 
     json writes floats at full precision, where numpy's repr would print tap
     powers that differ in the 12th digit alike.
@@ -579,13 +573,3 @@ def _generate(spec, dim, sigma2, seed):
                                        **values)
     return gen_tdl_fading_channel(dim, FadingProfile(**values),
                                   sigma2=sigma2, seed=seed)
-
-
-def channel_from_descriptor(desc):
-    """Rebuild a channel from the record emitted by ``descriptor()``."""
-    if isinstance(desc, str):
-        desc = json.loads(desc)
-    spec = {key: value for key, value in desc.items()
-            if key not in ("type", "dim", "sigma2", "seed")}
-    return build_channel(dict(spec, kind=desc["type"]), desc.get("dim"),
-                         desc.get("sigma2"), desc.get("seed"))

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run`` -- execute one experiment config and print the aggregate metrics;
 * ``sweep`` -- execute a grid of configs and print the consolidated CSV;
-* ``inspect-channel`` -- generate a channel, print its descriptor, singular
+* ``inspect-channel`` -- generate a channel, print its spec with the
+  defaults filled in (itself a valid ``channel`` config value), a singular
   spectrum summary, and (for fading channels) the Rayleigh amplitude fit.
 
 Configs are flat ``key=value`` text (dots nest, values parse as JSON when
@@ -24,6 +25,7 @@ from .errors import RmOampError
 from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, _noise_variance,
                          run_experiment, sweep)
 from .fileio import csv_text
+from .specs import CHANNEL_KEYS, read_spec, spec_integer
 
 __all__ = ["main", "parse_config_text", "config_from_dict"]
 
@@ -129,18 +131,21 @@ def _cmd_sweep(args):
 
 
 def _cmd_inspect_channel(args):
-    spec = _apply_overrides({"kind": args.kind}, args.set)
+    seed = spec_integer(args.seed, "--seed", 0, "inspect-channel")
+    kind, values = read_spec(_apply_overrides({"kind": args.kind}, args.set),
+                             CHANNEL_KEYS, "channel")
+    spec = dict(values, kind=kind)
     ch = channel_mod.build_channel(spec, args.dim,
-                                   _noise_variance(args.sigma), args.seed)
-    print(ch.descriptor_json())
+                                   _noise_variance(args.sigma), seed)
+    print(channel_mod.spec_key(spec))
     s = ch.s
     print(f"singular values: count={s.size} min={s.min():.6g} "
           f"max={s.max():.6g} condition={ch.condition_number():.6g} "
           f"mean_power={float(np.mean(s * s)):.6g}")
-    if args.kind == "tdl-fading":
+    if kind == "tdl-fading":
         stat, pvalue = channel_mod.rayleigh_fit_statistic(
-            channel_mod.fading_profile(spec), num_samples=args.samples,
-            seed=args.seed)
+            channel_mod.FadingProfile(**values), num_samples=args.samples,
+            seed=seed)
         print(f"rayleigh_ks_statistic={stat!r} pvalue={pvalue!r}")
     if args.output:
         with open(args.output, "w") as fh:
@@ -172,7 +177,7 @@ def build_parser():
     p_ins = sub.add_parser("inspect-channel",
                            help="emit spectrum and fading-fit statistics")
     p_ins.add_argument("--kind", default="conditioned",
-                       choices=["identity", "conditioned", "tdl-fading"])
+                       choices=list(CHANNEL_KEYS))
     p_ins.add_argument("--dim", type=int, default=256)
     p_ins.add_argument("--sigma", type=float, default=0.0)
     p_ins.add_argument("--seed", type=int, default=0)

@@ -161,6 +161,21 @@ class TestFaults:
         with pytest.raises(InvalidParameterError):
             BridgeClient(timeout=0.0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_refused_before_spawn(self, timeout,
+                                                     monkeypatch):
+        # NaN once failed every round trip with ValueError and inf with
+        # OverflowError, neither a BridgeError the receiver recovers from
+        import subprocess
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a child was spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        with pytest.raises(InvalidParameterError,
+                           match="timeout must be a finite number > 0"):
+            spawn_echo_bridge(timeout=timeout)
+
 
 class TestReceiverIntegration:
     def setup_run(self, n=64):

@@ -468,6 +468,7 @@ def fading(**keys):
 BAD_CHANNELS = {
     "kind-not-a-spec": ("identity",
                         "channel must be a spec dict, got 'identity'"),
+    "unknown-kind": ({"kind": "quantum"}, "unknown channel kind 'quantum'"),
     "word-doppler-rate": (fading(doppler_rate="x"),
                           "channel spec 'doppler_rate' must be a number, "
                           "got 'x'"),
@@ -934,6 +935,26 @@ num_trials=2
 """
 
 
+# one spec per channel family, the fading one with no default key
+INSPECT_SPECS = [
+    {"kind": "identity"},
+    {"kind": "conditioned", "kappa": 4.0},
+    {"kind": "conditioned", "kappa": 4.0, "spectrum_shape": "linear",
+     "factor_method": "fast"},
+    {"kind": "tdl-fading", "num_taps": 4, "tap_powers": [0.4, 0.3, 0.2, 0.1],
+     "doppler_rate": 0.25, "num_symbols": 3},
+]
+
+
+def inspect_args(spec):
+    """``inspect-channel`` arguments that give ``spec``."""
+    args = ["--kind", spec["kind"]]
+    for key, value in spec.items():
+        if key != "kind":
+            args += ["--set", f"{key}={json.dumps(value)}"]
+    return args
+
+
 class TestCli:
     def write_config(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1040,11 +1061,46 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         desc = json.loads(out[0])
-        assert desc["type"] == "conditioned"
+        assert desc["kind"] == "conditioned"
         assert "condition=4" in out[1]
         csv_lines = out_csv.read_text().splitlines()
         assert csv_lines[0] == "index,singular_value"
         assert len(csv_lines) == 33
+
+    @pytest.mark.parametrize("spec", INSPECT_SPECS,
+                             ids=["identity", "haar", "fast", "fading"])
+    def test_inspect_prints_a_spec_that_rebuilds_the_channel(
+            self, spec, monkeypatch, tmp_path, capsys):
+        built = []
+
+        def keep(*args):
+            built.append(build_channel(*args))
+            return built[-1]
+
+        monkeypatch.setattr(channel_mod, "build_channel", keep)
+        assert main(["inspect-channel", "--dim", "16", "--sigma", "0.3",
+                     "--seed", "5", "--samples", "200"]
+                    + inspect_args(spec)) == 0
+        text = capsys.readouterr().out.splitlines()[0]
+        line = json.loads(text)
+        assert set(line) == set(specs.CHANNEL_KEYS[spec["kind"]]) | {"kind"}
+        assert {key: line[key] for key in spec} == spec
+        # a fresh build, not the factors the CLI's build left in the slot
+        monkeypatch.setattr(channel_mod, "_last_built", None)
+        again = build_channel(line, 16, built[0].sigma2, 5)
+        assert np.array_equal(again.dense(), built[0].dense())
+        assert again.sigma2 == built[0].sigma2
+        # the printed line as a run's channel gives the original's trials
+        trials = []
+        for name, channel in (("spec", json.dumps(spec)), ("line", text)):
+            out_dir = tmp_path / name
+            assert main(["run", self.write_config(tmp_path),
+                         "--set", "beta=0.5", "--set", "sigma=0.1",
+                         "--set", f"channel={channel}",
+                         "--output-dir", str(out_dir)]) == 0
+            trials.append((out_dir / "trials.csv").read_bytes())
+        capsys.readouterr()
+        assert trials[0] == trials[1]
 
     def test_inspect_misspelt_key_exits_2(self, capsys):
         # not a channel with the default kappa of 10
@@ -1106,7 +1162,9 @@ class TestCli:
         (["--dim", "0", "--set", "factor_method=fast"], "dim must be >= 1"),
         (["--kind", "tdl-fading", "--dim", "16", "--samples", "0"],
          "num_samples must be >= 1"),
-    ], ids=["haar-dim-0", "fast-dim-0", "fading-samples-0"])
+        (["--seed", "-1"],
+         "rmoamp: inspect-channel '--seed' must be an integer >= 0, got -1"),
+    ], ids=["haar-dim-0", "fast-dim-0", "fading-samples-0", "seed-negative"])
     def test_inspect_empty_input_exits_2_without_traceback(self, args,
                                                           message):
         proc = subprocess.run(

@@ -155,8 +155,8 @@ InvalidMessageError InvalidParameterError IterationRecord IterationTrace
 MetricReport NleError NoInformationError OrthoFactor PSNR_CEILING
 ReceiverConfig RmOampError SingularSystemError SourceSignal SureResult
 TrialResult WyFactor baseline_psnr build_channel build_prior
-build_rm_operator channel_from_descriptor check_convergence
-dct_transform ddim_reverse_step ddim_x0_predict default_ddim_schedule
+build_rm_operator check_convergence dct_transform ddim_reverse_step
+ddim_x0_predict default_ddim_schedule
 denoise encode_request encode_response fading_profile fm_integrate
 gaussian_eps_predictor gaussian_velocity_predictor gaussian_window
 gen_conditioned_channel gen_identity_channel gen_tdl_fading_channel
