@@ -12,6 +12,8 @@ console script exposes them on the command line.
 ``import rmoamp`` imports no submodule: each public name below is imported
 from its submodule on first access (PEP 562), so a process that needs only
 the bridge framing and a prior, such as a bridge child, loads only those.
+``_SUBMODULE_EXPORTS`` is the one list of public names; the submodules keep
+no ``__all__``, and building the table from them would import them all.
 """
 
 import importlib
@@ -28,7 +30,7 @@ _SUBMODULE_EXPORTS = {
     "rm_operator": ("OrthoFactor", "build_rm_operator", "dct_transform",
                     "rm_forward", "rm_inverse"),
     "channel": ("BandFactor", "ChannelInstance", "FadingProfile", "WyFactor",
-                "build_channel", "fading_profile", "gen_conditioned_channel",
+                "build_channel", "gen_conditioned_channel",
                 "gen_identity_channel", "gen_tdl_fading_channel",
                 "rayleigh_fit_statistic", "sample_fading_taps", "transmit"),
     "sources": ("SourceSignal", "load_source", "save_source_pgm",

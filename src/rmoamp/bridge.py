@@ -30,16 +30,6 @@ import numpy as np
 from .errors import (BridgeError, BridgeProtocolError, BridgeTimeoutError,
                      InvalidParameterError)
 
-__all__ = [
-    "REQUEST_MAGIC",
-    "RESPONSE_MAGIC",
-    "encode_request",
-    "decode_request",
-    "encode_response",
-    "BridgeClient",
-    "BridgePrior",
-]
-
 REQUEST_MAGIC = b"OAMPNLE1"
 RESPONSE_MAGIC = b"OAMPNLE2"
 _REQ_HEAD = struct.Struct("<8sQdd")

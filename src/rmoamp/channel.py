@@ -37,21 +37,6 @@ from .errors import (InvalidDimensionError, InvalidParameterError,
 from .rm_operator import OrthoFactor, _Factor, _draw_scramble
 from .specs import CHANNEL_KEYS, read_spec
 
-__all__ = [
-    "ChannelInstance",
-    "BandFactor",
-    "WyFactor",
-    "FadingProfile",
-    "gen_identity_channel",
-    "gen_conditioned_channel",
-    "gen_tdl_fading_channel",
-    "transmit",
-    "sample_fading_taps",
-    "rayleigh_fit_statistic",
-    "fading_profile",
-    "build_channel",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class BandFactor(_Factor):
@@ -410,19 +395,13 @@ def gen_conditioned_channel(dim, kappa, spectrum_shape, sigma2, seed,
                            seed=int(seed))
 
 
-def sample_fading_taps(profile, seed, num_symbols=None):
-    """Complex tap trajectories, shape (num_symbols, num_taps).
+def sample_fading_taps(profile, seed):
+    """Complex tap trajectories, shape (profile.num_symbols, num_taps).
 
     Each tap is a stationary complex Gaussian AR(1) process with variance
     ``tap_powers[l]`` and lag-1 autocorrelation matching the Jakes value
-    ``J0(2 pi doppler_rate)``.  ``num_symbols`` defaults to the profile's
-    and must be >= 1.  ``scipy.special`` is imported on first use.
+    ``J0(2 pi doppler_rate)``.  ``scipy.special`` is imported on first use.
     """
-    if num_symbols is None:
-        num_symbols = profile.num_symbols
-    if num_symbols < 1:
-        raise InvalidParameterError(
-            f"num_symbols must be >= 1, got {num_symbols!r}")
     from scipy.special import j0
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -431,9 +410,10 @@ def sample_fading_taps(profile, seed, num_symbols=None):
     innov = np.sqrt(max(1.0 - a * a, 0.0))
     draw = lambda: scale * (rng.standard_normal(profile.num_taps)
                             + 1j * rng.standard_normal(profile.num_taps))
-    taps = np.empty((num_symbols, profile.num_taps), dtype=np.complex128)
+    taps = np.empty((profile.num_symbols, profile.num_taps),
+                    dtype=np.complex128)
     taps[0] = draw()
-    for b in range(1, num_symbols):
+    for b in range(1, profile.num_symbols):
         taps[b] = a * taps[b - 1] + innov * draw()
     return taps
 
@@ -451,7 +431,7 @@ def rayleigh_fit_statistic(profile, num_samples, seed):
     from scipy import stats
 
     num_symbols = int(np.ceil(num_samples / profile.num_taps))
-    taps = sample_fading_taps(profile, seed, num_symbols=num_symbols)
+    taps = sample_fading_taps(replace(profile, num_symbols=num_symbols), seed)
     amp = (np.abs(taps) / np.sqrt(profile.tap_powers)).ravel()[:num_samples]
     result = stats.kstest(amp, "rayleigh", args=(0, 1.0 / np.sqrt(2.0)))
     return float(result.statistic), float(result.pvalue)
@@ -470,8 +450,9 @@ def gen_tdl_fading_channel(dim, profile, sigma2, seed):
     sub-diagonals) and is stored as that band, with the band of its
     Hermitian Gram matrix; no ``dim x dim`` array is formed.
     """
-    if dim % 2 != 0:
-        raise InvalidParameterError("dim must be even (pairs of real symbols)")
+    if dim < 2 or dim % 2 != 0:
+        raise InvalidParameterError(
+            f"dim must be even and >= 2 (pairs of real symbols), got {dim!r}")
     n_c, num_taps = dim // 2, profile.num_taps
     if num_taps > n_c:
         raise InvalidParameterError(
@@ -502,15 +483,6 @@ def transmit(ch, x, noise_seed):
         rng = np.random.Generator(np.random.Philox(noise_seed))
         y = y + np.sqrt(ch.sigma2) * rng.standard_normal(ch.m_rows)
     return y
-
-
-def fading_profile(spec):
-    """FadingProfile from a tdl-fading spec dict, whose ``kind`` may be left
-    out; missing keys take the 3-tap defaults of
-    :data:`rmoamp.specs.CHANNEL_KEYS`."""
-    fading = {"tdl-fading": CHANNEL_KEYS["tdl-fading"]}
-    return FadingProfile(**read_spec(spec, fading, "channel",
-                                     "tdl-fading")[1])
 
 
 # (key, channel) of the last build_channel miss, or None

@@ -27,8 +27,6 @@ from .experiment import (ExperimentConfig, OUTPUT_ROOT_ENV, _noise_variance,
 from .fileio import csv_text
 from .specs import CHANNEL_KEYS, read_spec, spec_integer
 
-__all__ = ["main", "parse_config_text", "config_from_dict"]
-
 _CONFIG_FIELDS = {f for f in ExperimentConfig.__dataclass_fields__}
 
 
@@ -132,6 +130,7 @@ def _cmd_sweep(args):
 
 def _cmd_inspect_channel(args):
     seed = spec_integer(args.seed, "--seed", 0, "inspect-channel")
+    samples = spec_integer(args.samples, "--samples", 1, "inspect-channel")
     kind, values = read_spec(_apply_overrides({"kind": args.kind}, args.set),
                              CHANNEL_KEYS, "channel")
     spec = dict(values, kind=kind)
@@ -144,7 +143,7 @@ def _cmd_inspect_channel(args):
           f"mean_power={float(np.mean(s * s)):.6g}")
     if kind == "tdl-fading":
         stat, pvalue = channel_mod.rayleigh_fit_statistic(
-            channel_mod.FadingProfile(**values), num_samples=args.samples,
+            channel_mod.FadingProfile(**values), num_samples=samples,
             seed=seed)
         print(f"rayleigh_ks_statistic={stat!r} pvalue={pvalue!r}")
     if args.output:

@@ -27,21 +27,6 @@ import numpy as np
 
 from .errors import IntegrationError, InvalidParameterError
 
-__all__ = [
-    "snr_match",
-    "DdimSchedule",
-    "default_ddim_schedule",
-    "ddim_x0_predict",
-    "ddim_reverse_step",
-    "fm_integrate",
-    "DdimPrior",
-    "FlowMatchingPrior",
-    "gaussian_eps_predictor",
-    "pointmass_eps_predictor",
-    "gaussian_velocity_predictor",
-    "pointmass_velocity_predictor",
-]
-
 
 def snr_match(v, kind):
     """Map an effective noise variance to a sampler operating point.

@@ -42,19 +42,6 @@ from .sources import load_source
 from .specs import (PREDICTOR_KEYS, PRIOR_KEYS, read_spec, spec_integer,
                     spec_numbers)
 
-__all__ = [
-    "ExperimentConfig",
-    "TrialResult",
-    "MetricReport",
-    "build_prior",
-    "run_experiment",
-    "baseline_psnr",
-    "sweep",
-    "OUTPUT_ROOT_ENV",
-    "TRIAL_COLUMNS",
-    "SWEEP_COLUMNS",
-]
-
 OUTPUT_ROOT_ENV = "RMOAMP_OUTPUT_ROOT"
 
 TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "faults",

@@ -20,9 +20,6 @@ from .errors import InvalidParameterError
 
 MAT_MAGIC = b"OAMPMAT1"
 
-__all__ = ["MAT_MAGIC", "write_matrix", "read_matrix", "read_pgm", "write_pgm",
-           "csv_cell", "csv_text"]
-
 
 def write_matrix(path, arr):
     arr = np.ascontiguousarray(arr, dtype="<f8")

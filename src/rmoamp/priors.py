@@ -18,13 +18,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, NleError
 
-__all__ = [
-    "denoise",
-    "AnalyticGaussianPrior",
-    "GaussianMixturePrior",
-    "DctSoftThresholdPrior",
-]
-
 # variance floor inside mixture responsibilities; only reached for a
 # point-mass component observed at zero noise
 _VAR_TINY = 1e-30

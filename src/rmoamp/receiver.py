@@ -33,23 +33,6 @@ from .rm_operator import rm_forward, rm_inverse
 from .sources import SourceSignal
 from .sure import mc_divergence, sure_orthogonalize
 
-__all__ = [
-    "GaussMessage",
-    "ReceiverConfig",
-    "IterationRecord",
-    "IterationTrace",
-    "init_state",
-    "lmmse_estimate",
-    "orthogonalize",
-    "mmse_correction",
-    "CorrectedMessage",
-    "check_convergence",
-    "run_receiver",
-    "lmmse_baseline",
-    "TRACE_COLUMNS",
-    "VARIANCE_FLOOR",
-]
-
 TRACE_COLUMNS = ("iter", "v_pri", "v_post", "v_orth", "t_star", "psnr",
                  "residual", "fault")
 

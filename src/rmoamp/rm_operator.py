@@ -21,14 +21,6 @@ import numpy as np
 
 from .errors import InvalidDimensionError
 
-__all__ = [
-    "OrthoFactor",
-    "build_rm_operator",
-    "rm_forward",
-    "rm_inverse",
-    "dct_transform",
-]
-
 
 class _Factor:
     """The apply protocol of the linear factors.

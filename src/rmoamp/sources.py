@@ -14,15 +14,6 @@ from .errors import InvalidParameterError
 from .fileio import read_matrix, read_pgm, write_pgm
 from .specs import SOURCE_KEYS, read_spec
 
-__all__ = [
-    "SourceSignal",
-    "load_source",
-    "synthetic_gaussian",
-    "synthetic_gauss_mixture",
-    "synthetic_piecewise_constant",
-    "save_source_pgm",
-]
-
 
 @dataclass(frozen=True)
 class SourceSignal:
@@ -53,6 +44,8 @@ class SourceSignal:
 
 
 def synthetic_gaussian(n, seed, mean=0.0, std=1.0):
+    if std < 0:
+        raise InvalidParameterError(f"'std' must be >= 0, got {std!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     return SourceSignal(mean + std * rng.standard_normal(n))
 
@@ -70,6 +63,9 @@ def synthetic_gauss_mixture(n, seed, weights, means, stds):
             raise InvalidParameterError(
                 f"mixture {key!r} must have one entry per weight: "
                 f"{values.size} for {weights.size}")
+    if np.any(stds < 0):
+        raise InvalidParameterError(
+            f"mixture 'stds' must be >= 0, got {stds.tolist()}")
     rng = np.random.Generator(np.random.Philox(seed))
     comp = rng.choice(weights.size, size=n, p=weights)
     return SourceSignal(means[comp] + stds[comp] * rng.standard_normal(n))

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .priors import denoise
 
-__all__ = ["SureResult", "mc_divergence", "sure_orthogonalize", "probe_scale"]
-
 
 def probe_scale(v):
     """Finite-difference step 1e-3 * sqrt(v), floored at 1e-8."""

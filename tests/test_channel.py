@@ -529,11 +529,11 @@ class TestFadingProfile:
         with pytest.raises(InvalidParameterError):
             make_profile(doppler=-0.1)
 
-    def test_fading_profile_defaults(self):
-        profile = rm.fading_profile({})
-        assert profile.num_taps == 3
-        assert profile.tap_powers.tolist() == [0.6, 0.3, 0.1]
-        assert (profile.doppler_rate, profile.num_symbols) == (0.01, 16)
+    def test_default_spec_builds_the_three_tap_profile(self):
+        default = rm.build_channel({"kind": "tdl-fading"}, 32, 0.1, seed=4)
+        profile = rm.FadingProfile(3, (0.6, 0.3, 0.1), 0.01, 16)
+        explicit = rm.gen_tdl_fading_channel(32, profile, 0.1, seed=4)
+        assert np.array_equal(default.dense(), explicit.dense())
 
 
 class TestFadingTaps:
@@ -570,11 +570,11 @@ class TestFadingTaps:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_rejects_no_samples(self, count):
-        p = make_profile()
         with pytest.raises(InvalidParameterError, match="num_symbols"):
-            rm.sample_fading_taps(p, seed=1, num_symbols=count)
+            make_profile(num_symbols=count)
         with pytest.raises(InvalidParameterError, match="num_samples"):
-            rm.rayleigh_fit_statistic(p, num_samples=count, seed=1)
+            rm.rayleigh_fit_statistic(make_profile(), num_samples=count,
+                                      seed=1)
 
 
 def realified_fading(profile, dim, seed):
@@ -678,6 +678,9 @@ class TestTdlFadingChannel:
                            powers=np.full(5, 0.2))
         with pytest.raises(InvalidParameterError):
             rm.gen_tdl_fading_channel(8, big, sigma2=0.0, seed=0)
+        for dim in (0, -2):
+            with pytest.raises(InvalidParameterError, match="dim must be even"):
+                rm.gen_tdl_fading_channel(dim, p, sigma2=0.0, seed=0)
 
     @pytest.mark.parametrize("num_taps,num_symbols,dim", [
         (1, 1, 8), (3, 3, 12), (3, 4, 40), (6, 2, 12)])
@@ -729,8 +732,9 @@ class TestTdlFadingChannel:
         dim = 4096
         tracemalloc.start()
         try:
-            ch = rm.gen_tdl_fading_channel(dim, rm.fading_profile({}),
-                                           sigma2=0.01, seed=33)
+            profile = rm.FadingProfile(3, (0.6, 0.3, 0.1), 0.01, 16)
+            ch = rm.gen_tdl_fading_channel(dim, profile, sigma2=0.01,
+                                           seed=33)
             y = rm.transmit(ch, np.ones(dim), noise_seed=34)
             back = ch.gain(0.5, y)
             peak = tracemalloc.get_traced_memory()[1]

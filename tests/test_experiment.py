@@ -331,6 +331,12 @@ BAD_SOURCES = {
                          "weights": [1.5, -0.5], "means": [0.0, 0.0],
                          "stds": [0.1, 1.0]},
                         "mixture weights must be >= 0 and sum to 1"),
+    "negative-std": ({"kind": "gaussian", "n": 64, "seed": 9, "std": -1},
+                     "'std' must be >= 0, got -1"),
+    "negative-stds": ({"kind": "gauss-mixture", "n": 64, "seed": 9,
+                       "weights": [0.9, 0.1], "means": [0.0, 0.0],
+                       "stds": [0.1, -1.0]},
+                      "mixture 'stds' must be >= 0, got [0.1, -1.0]"),
     # an int path would name one of the process's own file descriptors
     "int-path": ({"kind": "matrix", "path": 2},
                  "source spec 'path' must be a string, got 2"),
@@ -1161,16 +1167,23 @@ class TestCli:
         (["--dim", "0"], "dim must be >= 1"),
         (["--dim", "0", "--set", "factor_method=fast"], "dim must be >= 1"),
         (["--kind", "tdl-fading", "--dim", "16", "--samples", "0"],
-         "num_samples must be >= 1"),
+         "rmoamp: inspect-channel '--samples' must be an integer >= 1, "
+         "got 0"),
+        (["--kind", "tdl-fading", "--dim", "0"],
+         "dim must be even and >= 2 (pairs of real symbols), got 0"),
+        (["--kind", "tdl-fading", "--dim", "-2"],
+         "dim must be even and >= 2 (pairs of real symbols), got -2"),
         (["--seed", "-1"],
          "rmoamp: inspect-channel '--seed' must be an integer >= 0, got -1"),
-    ], ids=["haar-dim-0", "fast-dim-0", "fading-samples-0", "seed-negative"])
+    ], ids=["haar-dim-0", "fast-dim-0", "fading-samples-0", "fading-dim-0",
+            "fading-dim-negative", "seed-negative"])
     def test_inspect_empty_input_exits_2_without_traceback(self, args,
                                                           message):
         proc = subprocess.run(
             [sys.executable, "-m", "rmoamp.cli", "inspect-channel"] + args,
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
 

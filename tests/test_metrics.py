@@ -144,7 +144,7 @@ def modules_after(code, *prefixes):
 BRIDGE_SERVER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "bridge_server.py")
 
-# the names the package exported while it imported every submodule eagerly
+# the package's public names, one per entry of its export table
 PUBLIC_NAMES = """
 AnalyticGaussianPrior BandFactor BridgeClient BridgeError BridgePrior
 BridgeProtocolError BridgeTimeoutError ChannelInstance
@@ -157,7 +157,7 @@ ReceiverConfig RmOampError SingularSystemError SourceSignal SureResult
 TrialResult WyFactor baseline_psnr build_channel build_prior
 build_rm_operator check_convergence dct_transform ddim_reverse_step
 ddim_x0_predict default_ddim_schedule
-denoise encode_request encode_response fading_profile fm_integrate
+denoise encode_request encode_response fm_integrate
 gaussian_eps_predictor gaussian_velocity_predictor gaussian_window
 gen_conditioned_channel gen_identity_channel gen_tdl_fading_channel
 init_state lmmse_baseline lmmse_estimate load_source mc_divergence
