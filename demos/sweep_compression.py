@@ -41,4 +41,4 @@ print("mean PSNR by (rate, noise):")
 for report in reports:
     cfg = report.config
     print(f"  rate {cfg.beta:<5} noise {cfg.sigma:<5} -> "
-          f"{report.mean_psnr:6.2f} dB over {len(report.trials)} trials")
+          f"{report.aggregate('mean_psnr'):6.2f} dB over {len(report.trials)} trials")

@@ -100,9 +100,14 @@ class BridgeClient:
 
     @classmethod
     def connect(cls, host, port, timeout=5.0):
-        """Connect to a denoiser server listening on a TCP socket."""
+        """Connect to a denoiser server listening on a TCP socket.  A
+        ``port`` outside 1-65535 raises InvalidParameterError; the socket
+        layer would take it modulo 65536."""
         import socket
 
+        if not 1 <= port <= 65535:
+            raise InvalidParameterError(
+                f"port must be in 1-65535, got {port!r}")
         client = cls(timeout=timeout)
         client._sock = socket.create_connection((host, port),
                                                 timeout=timeout)

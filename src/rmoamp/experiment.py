@@ -40,14 +40,19 @@ from .receiver import ReceiverConfig, lmmse_baseline, run_receiver
 from .rm_operator import build_rm_operator, rm_forward
 from .sources import load_source
 from .specs import (PREDICTOR_KEYS, PRIOR_KEYS, read_spec, spec_integer,
-                    spec_numbers)
+                    spec_numbers, spec_strings)
 
 OUTPUT_ROOT_ENV = "RMOAMP_OUTPUT_ROOT"
 
+# trials.csv's columns, each a TrialResult attribute
 TRIAL_COLUMNS = ("trial", "psnr", "ssim", "iterations", "nfe", "faults",
                  "error")
-SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", "mean_psnr", "std_psnr",
-                 "mean_ssim", "std_ssim", "mean_iterations", "mean_nfe",
+# each aggregate column: the TrialResult attribute it reduces, and how
+_AGGREGATES = {"mean_psnr": ("psnr", np.mean), "std_psnr": ("psnr", np.std),
+               "mean_ssim": ("ssim", np.mean), "std_ssim": ("ssim", np.std),
+               "mean_iterations": ("iterations", np.mean),
+               "mean_nfe": ("nfe", np.mean)}
+SWEEP_COLUMNS = ("beta", "sigma", "prior", "channel", *_AGGREGATES,
                  "num_trials", "num_errors")
 
 
@@ -72,8 +77,9 @@ class ExperimentConfig:
 
     A number or count of the wrong type, a number that is not finite, a beta
     outside (0, 1], a negative sigma or seed, a sigma whose square overflows,
-    a tolerance that is not > 0 and a count below 1 raise
-    InvalidParameterError.
+    a count below 1 and an ``output_dir`` that is neither None nor a string
+    raise InvalidParameterError; :class:`ReceiverConfig` checks the loop
+    knobs (``max_iters``, ``tolerance``, ``divergence_seed``).
     """
 
     source: object
@@ -92,19 +98,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         fields = vars(self)
-        for key in ("beta", "sigma", "tolerance"):
+        for key in ("beta", "sigma"):
             spec_numbers(fields[key], key, 0, "config")
-        for key in ("max_iters", "num_trials"):
-            spec_integer(fields[key], key, 1, "config")
-        for key in ("operator_seed", "channel_seed", "noise_seed",
-                    "divergence_seed"):
+        spec_integer(self.num_trials, "num_trials", 1, "config")
+        for key in ("operator_seed", "channel_seed", "noise_seed"):
             spec_integer(fields[key], key, 0, "config")
+        if self.output_dir is not None:
+            spec_strings(self.output_dir, "output_dir", False, "config")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1], got {self.beta}")
         _noise_variance(self.sigma)
-        if self.tolerance <= 0:
-            raise InvalidParameterError(
-                f"tolerance must be > 0, got {self.tolerance}")
+        # ReceiverConfig checks the loop knobs; receiver_config() would check
+        # the offset seed, and True + 0 passes as 1
+        ReceiverConfig(self.max_iters, self.tolerance, self.divergence_seed)
 
     def receiver_config(self, trial=0):
         return ReceiverConfig(
@@ -135,42 +141,23 @@ class MetricReport:
     def num_errors(self):
         return sum(1 for t in self.trials if t.error)
 
-    def _agg(self, attr, reducer):
-        # aggregate over trials that produced a finite value; a trial with a
-        # terminal annotation still counts if it delivered an estimate
+    def aggregate(self, column):
+        """The ``SWEEP_COLUMNS`` aggregate ``column`` (``mean_psnr``, ...)
+        over the trials with a finite value; NaN when there are none."""
+        if column not in _AGGREGATES:
+            raise InvalidParameterError(f"unknown aggregate column {column!r}")
+        attr, reducer = _AGGREGATES[column]
+        # a trial with a terminal annotation still counts if it delivered an
+        # estimate
         vals = np.array([getattr(t, attr) for t in self.trials],
                         dtype=np.float64)
         vals = vals[np.isfinite(vals)]
         return float(reducer(vals)) if vals.size else float("nan")
 
-    @property
-    def mean_psnr(self):
-        return self._agg("psnr", np.mean)
-
-    @property
-    def std_psnr(self):
-        return self._agg("psnr", np.std)
-
-    @property
-    def mean_ssim(self):
-        return self._agg("ssim", np.mean)
-
-    @property
-    def std_ssim(self):
-        return self._agg("ssim", np.std)
-
-    @property
-    def mean_iterations(self):
-        return self._agg("iterations", np.mean)
-
-    @property
-    def mean_nfe(self):
-        return self._agg("nfe", np.mean)
-
     def trials_csv(self):
         return csv_text(TRIAL_COLUMNS, (
-            [t.trial, float(t.psnr), float(t.ssim), t.iterations, t.nfe,
-             t.faults, t.error] for t in self.trials))
+            [getattr(t, column) for column in TRIAL_COLUMNS]
+            for t in self.trials))
 
     def aggregate_csv(self):
         return csv_text(SWEEP_COLUMNS, [self.sweep_row()])
@@ -180,8 +167,7 @@ class MetricReport:
         cfg = self.config
         return [csv_cell(value) for value in (
             float(cfg.beta), float(cfg.sigma), _kind(cfg.prior),
-            _kind(cfg.channel), self.mean_psnr, self.std_psnr, self.mean_ssim,
-            self.std_ssim, self.mean_iterations, self.mean_nfe,
+            _kind(cfg.channel), *map(self.aggregate, _AGGREGATES),
             len(self.trials), self.num_errors)]
 
 

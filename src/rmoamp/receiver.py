@@ -16,7 +16,7 @@ orthogonalization step divides by them.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from .metrics import _psnr_of_mse, psnr  # noqa: F401
 from .priors import denoise
 from .rm_operator import rm_forward, rm_inverse
 from .sources import SourceSignal
+from .specs import spec_integer, spec_numbers
 from .sure import mc_divergence, sure_orthogonalize
-
-TRACE_COLUMNS = ("iter", "v_pri", "v_post", "v_orth", "t_star", "psnr",
-                 "residual", "fault")
 
 # lower clamp on every variance the loop divides by
 VARIANCE_FLOOR = 1e-9
@@ -71,6 +69,9 @@ class ReceiverConfig:
     divergence_seed feeds the Monte Carlo probe.  The same probe is reused
     on every iteration (common random numbers), so the outer loop sees a
     fixed map and can settle instead of jittering around its fixed point.
+    A ``max_iters`` that is not an integer >= 1, a ``tolerance`` that is
+    not a finite number > 0 and a ``divergence_seed`` that is not an
+    integer >= 0 raise InvalidParameterError.
     """
 
     max_iters: int = 12
@@ -78,10 +79,12 @@ class ReceiverConfig:
     divergence_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidParameterError("max_iters must be >= 1")
-        if not self.tolerance > 0:  # NaN too
-            raise InvalidParameterError("tolerance must be > 0")
+        spec_integer(self.max_iters, "max_iters", 1, "config")
+        spec_numbers(self.tolerance, "tolerance", 0, "config")
+        spec_integer(self.divergence_seed, "divergence_seed", 0, "config")
+        if self.tolerance <= 0:
+            raise InvalidParameterError(
+                f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,11 @@ class IterationRecord:
     fault: str = None
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+# the trace CSV's header: the record's fields, the first one written "iter"
+TRACE_COLUMNS = ("iter", *_RECORD_FIELDS[1:])
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration history plus an optional terminal error annotation."""
@@ -111,14 +119,13 @@ class IterationTrace:
     def column(self, name):
         if name not in TRACE_COLUMNS:
             raise InvalidParameterError(f"unknown trace column {name!r}")
-        attr = "iteration" if name == "iter" else name
+        attr = _RECORD_FIELDS[TRACE_COLUMNS.index(name)]
         return np.array([getattr(r, attr) for r in self.records])
 
     def to_csv(self):
         """One row per record; ``fault`` is empty on a clean iteration."""
         return csv_text(TRACE_COLUMNS, (
-            [r.iteration, *map(float, (r.v_pri, r.v_post, r.v_orth, r.t_star,
-                                       r.psnr, r.residual)), r.fault]
+            [getattr(r, attr) for attr in _RECORD_FIELDS]
             for r in self.records))
 
 
@@ -250,7 +257,8 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
     record.  Any other stage error ends the loop gracefully; the best
     estimate so far is returned with the error annotated on the trace.  The
     final estimate is the zero-filled back-transform of the last corrected
-    mean.
+    mean.  An operator or a ``y`` whose length does not fit the channel
+    raises InvalidDimensionError before the loop.
 
     With ``truth`` given, each record's PSNR is that of the back-transform
     of the iteration's mean, taken in the channel-input domain: ``op`` has
@@ -264,6 +272,9 @@ def run_receiver(y, ch, op, prior, cfg=None, truth=None):
         raise InvalidDimensionError(
             f"channel expects {ch.n_cols} inputs, operator outputs "
             f"{op.shape[0]}")
+    if y.shape != (ch.m_rows,):
+        raise InvalidDimensionError(
+            f"observation has shape {y.shape}, channel has {ch.m_rows} rows")
     trace = IterationTrace()
     state = init_state(y, n=ch.n_cols)
     # y - A mean of the current state; the cold-start mean is zero

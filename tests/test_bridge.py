@@ -274,6 +274,47 @@ class TestSocketTransport:
             lsock.close()
 
 
+    def test_server_closing_mid_response_fails_and_closes(self):
+        lsock = socket.create_server(("127.0.0.1", 0))
+
+        def send_half_a_reply():
+            conn, _ = lsock.accept()
+            with conn:
+                got = b""
+                while len(got) < len(encode_request(np.ones(4), 0.5, 1.0)):
+                    got += conn.recv(64)
+                # the 16-byte head and 10 of the 16 payload bytes
+                conn.sendall(encode_response(np.ones(4))[:-6])
+
+        thread = threading.Thread(target=send_half_a_reply, daemon=True)
+        thread.start()
+        client = BridgeClient.connect("127.0.0.1", lsock.getsockname()[1],
+                                      timeout=5.0)
+        try:
+            with pytest.raises(BridgeProtocolError,
+                               match="bridge closed the stream after 10 of "
+                                     "16 bytes"):
+                client.denoise_once(np.ones(4), 0.5, 1.0)
+            assert client.closed
+        finally:
+            client.close()
+            thread.join(timeout=5.0)
+            lsock.close()
+
+    @pytest.mark.parametrize("port", [0, 65536, 70000, -1])
+    def test_port_out_of_range_is_refused_before_connecting(self, port,
+                                                            monkeypatch):
+        # socket.create_connection takes a port modulo 65536: 70000 once
+        # reached port 4464
+        def no_connect(*args, **kwargs):
+            raise AssertionError("a connection was made")
+
+        monkeypatch.setattr(socket, "create_connection", no_connect)
+        with pytest.raises(InvalidParameterError,
+                           match=f"port must be in 1-65535, got {port}"):
+            BridgeClient.connect("127.0.0.1", port)
+
+
 class TestBridgePrior:
     def test_snr_kind_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -99,6 +99,9 @@ class TestExperimentConfig:
             toy_config(sigma=float("nan"))
         with pytest.raises(InvalidParameterError):
             toy_config(num_trials=0)
+        with pytest.raises(InvalidParameterError,
+                           match="config 'output_dir' must be a string"):
+            toy_config(output_dir=7)
 
     @pytest.mark.parametrize("tolerance,message", [
         (float("nan"), "config 'tolerance' must be finite, got nan"),
@@ -183,7 +186,7 @@ class TestRunExperiment:
         assert len(report.trials) == 2
         assert report.num_errors == 0
         assert [t.psnr for t in report.trials] == [99.0, 99.0]
-        assert report.mean_psnr == 99.0
+        assert report.aggregate("mean_psnr") == 99.0
         assert all(np.isnan(t.ssim) for t in report.trials)  # 1-D source
         assert all(t.nfe == 0 for t in report.trials)  # analytic prior
 
@@ -251,7 +254,7 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.num_errors == 1
         assert np.isnan(report.trials[0].psnr)
-        assert np.isnan(report.mean_psnr)
+        assert np.isnan(report.aggregate("mean_psnr"))
 
     def test_output_root_env_prefixes_relative_dirs(self, tmp_path,
                                                     monkeypatch):
@@ -427,6 +430,9 @@ BAD_PRIORS = {
                                 "got -1.0"),
     "bridge-no-port": ({"kind": "external-bridge", "host": "localhost"},
                        "prior spec has no 'port' key"),
+    "bridge-port-out-of-range": ({"kind": "external-bridge",
+                                  "host": "localhost", "port": 70000},
+                                 "port must be in 1-65535, got 70000"),
     "misspelt-num-steps": ({"kind": "ddim", "num_step": 5},
                            "prior spec has unknown key 'num_step'"),
     "alpha-bar-with-num-steps": ({"kind": "ddim", "alpha_bar": [0.9, 0.1],
@@ -859,10 +865,13 @@ class TestMetricReport:
 
     def test_aggregates_skip_non_finite(self):
         report = self.make_report()
-        assert report.mean_psnr == 30.0
-        assert report.std_psnr == 10.0
-        assert report.mean_ssim == pytest.approx(0.6)
+        assert report.aggregate("mean_psnr") == 30.0
+        assert report.aggregate("std_psnr") == 10.0
+        assert report.aggregate("mean_ssim") == pytest.approx(0.6)
         assert report.num_errors == 1
+        with pytest.raises(InvalidParameterError,
+                           match="unknown aggregate column 'psnr'"):
+            report.aggregate("psnr")
 
     def test_trials_csv_escapes_commas(self):
         text = self.make_report().trials_csv()
@@ -995,15 +1004,29 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("rmoamp:")
 
-    @pytest.mark.parametrize("key,what", [("sigma", "a number"),
-                                          ("beta", "a number"),
-                                          ("num_trials", "an integer >= 1")])
-    def test_word_config_value_exits_2(self, key, what, tmp_path, capsys):
+    @pytest.mark.parametrize("key,what,value,got", [
+        ("sigma", "a number", "abc", "'abc'"),
+        ("beta", "a number", "abc", "'abc'"),
+        ("num_trials", "an integer >= 1", "abc", "'abc'"),
+        ("output_dir", "a string", "5", "5"),
+        ("output_dir", "a string", "[1]", "[1]"),
+        ("output_dir", "a string", "true", "True"),
+    ], ids=["sigma-a number", "beta-a number", "num_trials-an integer >= 1",
+            "output_dir-5", "output_dir-list", "output_dir-true"])
+    def test_word_config_value_exits_2(self, key, what, value, got, tmp_path,
+                                       capsys):
+        # a non-string output_dir once ended in a TypeError traceback
         code = main(["run", self.write_config(tmp_path),
-                     "--set", f"{key}=abc"])
+                     "--set", f"{key}={value}"])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"rmoamp: config {key!r} must be {what}, got 'abc'\n")
+            f"rmoamp: config {key!r} must be {what}, got {got}\n")
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        assert main(["run", self.write_config(tmp_path),
+                     "--set", "sigma"]) == 2
+        assert capsys.readouterr().err == (
+            "rmoamp: --set expects key=value, got 'sigma'\n")
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2
@@ -1049,6 +1072,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"rmoamp: {message}")
+
+    def test_sweep_point_output_dir_not_a_string_exits_2(self, tmp_path,
+                                                         capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(
+            [{"source": {"kind": "gaussian", "n": 32, "seed": 1},
+              "output_dir": 7}]))
+        assert main(["sweep", str(grid_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rmoamp: config 'output_dir' must be a string, got 7\n")
 
     def test_infinite_kappa_from_key_value_text_exits_1(self, tmp_path,
                                                         capsys):

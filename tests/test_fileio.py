@@ -128,6 +128,13 @@ class TestPgmFormat:
         with pytest.raises(InvalidParameterError):
             read_pgm(path)
 
+    def test_rejects_header_that_ends_early(self, tmp_path):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5\n2 2 # no maxval\n")
+        with pytest.raises(InvalidParameterError,
+                           match="unexpected end of PGM header"):
+            read_pgm(path)
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             write_pgm(tmp_path / "x.pgm", np.zeros(4))

@@ -1,11 +1,14 @@
-"""README's library layout table against the package's modules, and its
-spec key table against ``rmoamp.specs``."""
+"""README's library layout table against the package's modules, its spec
+key table against ``rmoamp.specs``, and its output column table against
+the package's column lists."""
 
 import json
 import pathlib
 import re
 
 from rmoamp import specs
+from rmoamp.experiment import SWEEP_COLUMNS, TRIAL_COLUMNS
+from rmoamp.receiver import TRACE_COLUMNS
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -54,3 +57,15 @@ def test_spec_table_is_the_spec_module():
         (spec, kind, "; ".join(describe(name, key)
                                for name, key in keys.items()) or "none")
         for spec, table in TABLES for kind, keys in table.items()]
+
+
+def test_output_column_table_is_the_column_lists():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| file | columns |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| (`.+?`) \| (.*) \|$", table, flags=re.M)
+    assert rows == [
+        (files, ", ".join(f"`{column}`" for column in columns))
+        for files, columns in (("`trace_trial<k>.csv`", TRACE_COLUMNS),
+                               ("`trials.csv`", TRIAL_COLUMNS),
+                               ("`aggregate.csv`, `sweep.csv`",
+                                SWEEP_COLUMNS))]

@@ -246,6 +246,8 @@ class TestReceiverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 0}, {"tolerance": 0.0}, {"tolerance": float("nan")},
+        {"divergence_seed": -1}, {"max_iters": 2.5}, {"max_iters": "3"},
+        {"divergence_seed": True}, {"tolerance": "1e-4"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -280,6 +282,15 @@ class TestRunReceiver:
                 == "iter,v_pri,v_post,v_orth,t_star,psnr,residual,fault")
         assert len(csv.splitlines()) == len(trace) + 1
 
+    def test_unknown_column_is_refused(self):
+        src, op, ch, y = full_rate_setup()
+        _, trace = run_receiver(y, ch, op, rm.AnalyticGaussianPrior(),
+                                truth=src)
+        assert list(trace.column("iter")) == list(range(1, len(trace) + 1))
+        with pytest.raises(InvalidParameterError,
+                           match="unknown trace column 'bogus'"):
+            trace.column("bogus")
+
     def test_no_truth_gives_nan_psnr(self):
         _, op, ch, y = full_rate_setup()
         _, trace = run_receiver(y, ch, op, rm.AnalyticGaussianPrior())
@@ -290,6 +301,10 @@ class TestRunReceiver:
         small = rm.build_rm_operator(256, 100, seed=3)
         with pytest.raises(InvalidDimensionError):
             run_receiver(y, ch, small, rm.AnalyticGaussianPrior())
+        # a y of the wrong length once gave an all-zero estimate
+        with pytest.raises(InvalidDimensionError,
+                           match=r"observation has shape \(255,\)"):
+            run_receiver(y[:-1], ch, op, rm.AnalyticGaussianPrior())
 
     def test_variance_trace_non_increasing_within_slack(self):
         # compressed noisy Gaussian-mixture run: claimed v_pri may wiggle

@@ -3,7 +3,7 @@
 import pytest
 
 from rmoamp import InvalidParameterError
-from rmoamp.specs import PRIOR_KEYS, read_spec, spec_integer
+from rmoamp.specs import PRIOR_KEYS, read_spec, spec_integer, spec_numbers
 
 
 def test_defaults_fill_left_out_keys_and_optional_keys_stay_out():
@@ -20,3 +20,12 @@ def test_integer_check_refuses_bools_floats_words_and_low_values(value):
     with pytest.raises(InvalidParameterError,
                        match=r"config 'n' must be an integer >= 0"):
         spec_integer(value, "n", 0, "config")
+
+
+@pytest.mark.parametrize("ndim", [None, 1])
+def test_numbers_check_refuses_a_ragged_list(ndim):
+    # numpy cannot make an array of it, and raises ValueError
+    with pytest.raises(InvalidParameterError,
+                       match=r"prior spec 'means' must be .*numbers, got "
+                             r"\[\[0.0, 1.0\], \[2.0\]\]"):
+        spec_numbers([[0.0, 1.0], [2.0]], "means", ndim, "prior spec")
